@@ -1,4 +1,4 @@
-"""Batched-engine benchmark — lockstep lanes vs the per-cell sweep path.
+"""Batched-engine benchmark — packed batches vs the per-cell sweep path.
 
 Times one fleet's Montage-50 (α, ε) sweep column two ways, both through
 the real consumer (:func:`repro.core.sweep.sweep_tasks` +
@@ -6,24 +6,26 @@ the real consumer (:func:`repro.core.sweep.sweep_tasks` +
 gap is exactly what ``repro sweep`` users get:
 
 - **serial**: ``batch=1`` — one :func:`run_sweep_cell` task per cell,
-  each driving ``ReassignLearner.learn()`` through the kernel-reuse
-  episode loop (the PR 4 decision-loop fast path, with the per-worker
-  kernel cache sharing one kernel build across cells);
+  each running ``ReassignLearner.learn()`` (the fused lane stepper),
+  with the per-worker kernel cache sharing one kernel build across
+  cells;
 - **batched**: ``batch=len(cells)`` — one :func:`run_sweep_batch` task
-  packing every cell as a lockstep lane of
-  :func:`repro.core.batch.learn_batch`: per step, ready/idle scans,
-  action-pair interning, ε-greedy gathers and Q scatters run once per
-  *lane group* over shared caches instead of once per learner.
+  packing every cell into :func:`repro.core.batch.learn_batch`, which
+  learns them one after another over one shared kernel.
 
 Equivalence gates every number: both arms run ``timing="simulated"``,
 so each cell's full record — Q-table JSON, per-episode makespans,
 plan, simulated learning time — is deterministic, and the arms must be
 **bit-identical per cell** before any throughput counts.
 
+No speed is asserted: both arms now run the same learner over a shared
+kernel and differ only in task packing, so the ratio read 0.91–1.14×
+over four best-of-5 runs on a 2-core host: no gain beyond the spread.  The earlier
+2.18×/3.60× measured lockstep lanes on the fused stepper against the
+scheduler-object loop the per-cell path used to run.
+
 Results go to ``results/batched_engine.md`` (prose) and
-``results/BENCH_batched_engine.json`` (machine-readable; the
-``batched_vs_serial_speedup`` ratio is frozen and guarded by
-``tools/bench_guard.py``).
+``results/BENCH_batched_engine.json`` (machine-readable).
 """
 
 import json
@@ -115,16 +117,17 @@ def _bench_json(episodes, reps, n_cells, serial_s, batched_s):
 def _render_note(episodes, reps, n_cells, serial_s, batched_s):
     total = n_cells * episodes
     return "\n".join([
-        "# Batched-engine throughput (lockstep lanes A/B)",
+        "# Batched-engine throughput (packed batch A/B)",
         "",
-        f"- host cores: {os.cpu_count() or 1}",
+        f"- host cores: {host_provenance()['host_cores']} "
+        f"(os.cpu_count {os.cpu_count()})",
         f"- commit: {git_head()}",
         "- workflow: Montage-50, 16-vCPU Table-I fleet, burst-throttle",
         f"- sweep column: {n_cells} (alpha, epsilon) cells x "
         f"{episodes} episodes (best of {reps})",
         f"- serial (batch=1, one learner per cell): {serial_s:.3f} s "
         f"({total / serial_s:.1f} eps/s)",
-        f"- batched (batch={n_cells}, lockstep lanes): {batched_s:.3f} s "
+        f"- batched (batch={n_cells}, one task): {batched_s:.3f} s "
         f"({total / batched_s:.1f} eps/s)",
         f"- batched vs serial: {serial_s / batched_s:.2f}x",
         "",
@@ -132,11 +135,9 @@ def _render_note(episodes, reps, n_cells, serial_s, batched_s):
         "parallel runner at workers=1) with timing=\"simulated\", and",
         "every cell's record — Q-table JSON, per-episode makespans,",
         "plan, simulated learning time — was bit-identical across arms",
-        "before any throughput counted.  The speedup is the lockstep",
-        "dividend: per simulation step, the batched engine pays the",
-        "ready/idle scan, action-pair interning and Q gather/scatter",
-        "once per lane group over shared content-addressed caches,",
-        "instead of once per learner.",
+        "before any throughput counted.  Both arms run the fused lane",
+        "stepper over one shared kernel; they differ only in how the",
+        "cells are packed into runner tasks.",
     ])
 
 
@@ -169,29 +170,14 @@ def _run_and_record(results_dir, episodes, reps):
 
 @pytest.mark.fast
 def test_batched_engine_fast(results_dir):
-    """CI A/B at the frozen protocol, single rep.
+    """CI A/B at the frozen protocol, single rep (equivalence-gated).
 
-    Runs the exact frozen-baseline protocol (paper-scale episode count,
-    see ``_EPISODES``) so the fresh ``batched_vs_serial_speedup`` is
-    comparable to the frozen one; the single rep keeps it CI-sized.
-    The strict >=2x assertion lives in the full variant — here the
-    batched path must simply not be slower, and the frozen-ratio
-    regression check is ``tools/bench_guard.py``'s job (fresh
-    speedup >= 0.75 x frozen).
+    Runs the frozen-baseline protocol (paper-scale episode count, see
+    ``_EPISODES``); the single rep keeps it CI-sized.
     """
-    serial_s, batched_s = _run_and_record(results_dir, _EPISODES, reps=1)
-    assert batched_s <= serial_s, (
-        f"batched engine slower than the serial path: "
-        f"{batched_s:.3f}s vs {serial_s:.3f}s"
-    )
+    _run_and_record(results_dir, _EPISODES, reps=1)
 
 
 def test_batched_engine_full(results_dir):
-    """Full A/B, >=2x Montage-50 sweep learning throughput enforced."""
-    serial_s, batched_s = _run_and_record(results_dir, _EPISODES, reps=5)
-    speedup = serial_s / batched_s
-    assert speedup >= 2.0, (
-        f"expected >=2x over the per-cell sweep path: "
-        f"serial {serial_s:.3f}s, batched {batched_s:.3f}s "
-        f"({speedup:.2f}x)"
-    )
+    """Full A/B, best of 5 per arm (equivalence-gated)."""
+    _run_and_record(results_dir, _EPISODES, reps=5)

@@ -3,8 +3,8 @@
 Times ReASSIgN learning on Montage-50 (16-vCPU Table-I fleet, paper
 parameters α=0.5, γ=1.0, ε=0.1, 100 episodes) two ways:
 
-- **serial**: ``ReassignLearner.learn()`` — the reference per-episode
-  decision loop, one episode at a time on the true Q-table;
+- **serial**: ``ReassignLearner.learn()`` — the fused lane stepper
+  (``repro.core.lane``), one episode at a time on the true Q-table;
 - **distributed**: :func:`repro.core.distributed.learn_distributed`
   with ``n_actors=4, batch=8, mode="auto"`` — speculative rollout
   actors, each rolling out eight chained episodes per wave chunk
@@ -17,21 +17,18 @@ plan, per-episode records, simulated learning time) before any
 throughput counts — the distributed engine's whole contract is that
 actor count never changes a single result byte.
 
-Where the speedup comes from depends on the host.  The ordered replay
-learner consumes traces through the fused batched-engine primitives
-(PR 8), and the chunked wave protocol drives ``batch`` chained
-episodes per actor between checkpoints, so even on a single core —
-where ``mode="auto"`` resolves to the inline engine and speculation
-buys nothing — the distributed path clears >=4x over the serial loop.
-On multi-core hosts the actor pool additionally overlaps rollout
-simulation with replay; the recorded
-``speculative_hit_rate``/``host_cores`` tell the two effects apart
-when reading a frozen artifact.
+No speed is asserted.  Both arms run the same fused stepper, so the
+ratio measures only what distribution adds: on a 2-core host
+``mode="auto"`` resolves to the process pool, no speculative episode
+hits (every episode's Q-drift invalidates the next one's snapshot),
+and the ratio read 0.24–0.33× over four best-of-5 runs.  The earlier 4.09× compared the
+stepper with the scheduler-object loop ``learn()`` used to run, not
+distribution with serial learning.  The recorded
+``speculative_hit_rate``/``host_cores``/``mode`` say which regime a
+frozen artifact measured.
 
 Results go to ``results/distributed_learning.md`` (prose) and
-``results/BENCH_distributed_learning.json`` (machine-readable; the
-``distributed_vs_serial_speedup`` ratio is frozen and guarded by
-``tools/bench_guard.py``).
+``results/BENCH_distributed_learning.json`` (machine-readable).
 """
 
 import json
@@ -134,7 +131,7 @@ def _render_note(reps, serial_s, dist_s, stats):
         "- workflow: Montage-50, 16-vCPU Table-I fleet, a=0.5 g=1.0 "
         "e=0.1",
         f"- episodes per arm: {_EPISODES} (best of {reps})",
-        f"- serial (ReassignLearner.learn): {serial_s:.3f} s "
+        f"- serial (ReassignLearner.learn, fused stepper): {serial_s:.3f} s "
         f"({_EPISODES / serial_s:.1f} eps/s)",
         f"- distributed (n_actors={_ACTORS}, batch={_BATCH}, "
         f"mode={stats['mode']}): "
@@ -149,13 +146,11 @@ def _render_note(reps, serial_s, dist_s, stats):
         "",
         "Both arms produced bit-identical learning fingerprints",
         "(Q-table JSON, plan, per-episode records, simulated learning",
-        "time) before any throughput counted.  The speedup decomposes",
-        "into (a) the ordered replay learner consuming traces through",
-        "the fused batched-engine primitives instead of the generic",
-        "per-episode loop, and (b) on multi-core hosts, actor-side",
-        "rollout overlapping learner-side replay; the recorded",
-        "host_cores and speculation stats say which effect dominated a",
-        "given frozen artifact.",
+        "time) before any throughput counted.  Both arms run the fused",
+        "lane stepper, so the ratio is what distribution adds on this",
+        "host: actor-side rollout overlapping learner-side replay, paid",
+        "for with snapshot shipping, pool IPC and re-simulation of",
+        "every missed speculative episode.",
     ])
 
 
@@ -195,28 +190,10 @@ def _run_and_record(results_dir, reps):
 
 @pytest.mark.fast
 def test_distributed_learning_fast(results_dir):
-    """CI A/B at the frozen protocol, single rep.
-
-    Runs the exact frozen-baseline protocol so the fresh
-    ``distributed_vs_serial_speedup`` is comparable to the frozen one;
-    the single rep keeps it CI-sized.  The strict >=4x assertion
-    lives in the full variant — here the distributed path must simply
-    not be slower, and the frozen-ratio regression check is
-    ``tools/bench_guard.py``'s job (fresh speedup >= 0.75 x frozen).
-    """
-    serial_s, dist_s = _run_and_record(results_dir, reps=1)
-    assert dist_s <= serial_s, (
-        f"distributed engine slower than the serial path: "
-        f"{dist_s:.3f}s vs {serial_s:.3f}s"
-    )
+    """CI A/B at the frozen protocol, single rep (equivalence-gated)."""
+    _run_and_record(results_dir, reps=1)
 
 
 def test_distributed_learning_full(results_dir):
-    """Full A/B, >=4x Montage-50 learning throughput enforced."""
-    serial_s, dist_s = _run_and_record(results_dir, reps=5)
-    speedup = serial_s / dist_s
-    assert speedup >= 4.0, (
-        f"expected >=4x over the serial learner: "
-        f"serial {serial_s:.3f}s, distributed {dist_s:.3f}s "
-        f"({speedup:.2f}x)"
-    )
+    """Full A/B, best of 5 per arm (equivalence-gated)."""
+    _run_and_record(results_dir, reps=5)

@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.core.reassign import ReassignParams
+from repro.core.reassign import ReassignLearner, ReassignParams
 from repro.dag.analysis import profile_dag
 from repro.dag.dax import write_dax
 from repro.experiments.environments import fleet_for, fleet_spec_for, render_table1
@@ -108,9 +108,9 @@ def _resolve_parallelism(parser: argparse.ArgumentParser, args) -> None:
 
     - ``--actors N`` and ``--batch B`` *compose*: with actors, B is the
       number of chained episodes each actor rolls out per speculative
-      wave chunk (the distributed engine drives B lockstep lanes per
-      actor); without actors, B is the lockstep lane pack size.  Either
-      way, every (N, B) pair is bit-identical to the serial learner.
+      wave chunk; without actors, B is the number of runs packed into
+      one batched task over a shared kernel.  Either way, every (N, B)
+      pair is bit-identical to the serial learner.
     - ``--actors N`` (N > 1) and ``--workers W`` (W != 1) are mutually
       exclusive where both exist: nesting the per-run actor pool inside
       the per-run worker pool oversubscribes the host.
@@ -168,12 +168,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_batch_arg(p, what: str):
         p.add_argument(
             "--batch", type=_batch_arg, default=None, metavar="B",
-            help=f"lockstep lanes per batched-engine task: up to B {what} "
-                 "advance through one shared simulation kernel per step; "
+            help=f"learning runs (lanes) per batched task: up to B {what} "
+                 "share one simulation kernel, learned one after another; "
                  "with --actors, B chained episodes per actor wave chunk "
-                 "instead (results are bit-identical for every B; 1 = the "
-                 "serial one-run-per-task path; default 8, or 1 with "
-                 "--actors)",
+                 "instead (results are bit-identical for every B; 1 = "
+                 "one run per task; default 8, or 1 with --actors)",
         )
 
     def add_actors_arg(p, what: str):
@@ -188,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "learn",
-        help="run ReASSIgN (Algorithm 2) through the batched engine",
+        help="run ReASSIgN (Algorithm 2) learning and extract its plan",
     )
     add_workflow_args(p)
     p.add_argument("--vcpus", type=int, default=16, choices=(16, 32, 64))
@@ -199,10 +198,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan-out", metavar="PATH", help="write plan JSON here")
     p.add_argument(
         "--batch", type=_batch_arg, default=None, metavar="B",
-        help="batched-engine lane budget; a single learn run always "
-             "occupies one lane, and any B >= 1 yields bit-identical "
-             "results; with --actors, B chained episodes per actor wave "
-             "chunk (the flag mirrors sweep/ensemble; default 1)",
+        help="mirrors sweep/ensemble: a single learn run is one lane, so "
+             "B only matters with --actors (B chained episodes per actor "
+             "wave chunk); any B >= 1 yields bit-identical results "
+             "(default 1)",
     )
     add_actors_arg(p, "run")
 
@@ -230,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run the Tables II/III sweep on the batched lockstep engine "
+        help="run the Tables II/III sweep through the batched engine "
              "(optionally reduced)",
     )
     p.add_argument("--episodes", type=int, default=100)
@@ -354,13 +353,7 @@ def _cmd_learn(args) -> int:
             n_actors=args.actors, batch=args.batch, stats_out=stats,
         )
     else:
-        from repro.core.batch import BatchSpec, learn_batch
-
-        # one run = one lane of the batched engine (bit-identical to the
-        # serial ReassignLearner.learn() path for any --batch value)
-        spec = BatchSpec(workflow=wf, vms=fleet, params=params,
-                         seed=args.seed)
-        result = learn_batch([spec])[0]
+        result = ReassignLearner(wf, fleet, params, seed=args.seed).learn()
     print(f"learned {wf.name} on {args.vcpus} vCPUs [{params.label()}]")
     if stats is not None:
         rate = stats["speculative_hit_rate"]

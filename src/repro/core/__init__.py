@@ -10,8 +10,8 @@ execution by the SWfMS.  Public entry points:
   ``maxIter`` episodes and extracts the learned plan;
 - :func:`~repro.core.sweep.sweep_parameters` — the (α, γ, ε) grid
   evaluation behind the paper's Tables II and III;
-- :func:`~repro.core.batch.learn_batch` — the lockstep batched engine
-  (many independent learning runs, one process);
+- :func:`~repro.core.batch.learn_batch` — many independent learning
+  runs in one process over one shared kernel;
 - :func:`~repro.core.distributed.learn_distributed` — speculative
   actor/learner training, bit-identical to serial at any actor count.
 """

@@ -1,80 +1,53 @@
-"""The batched lockstep learning engine (sim → rl → core refactor).
+"""Batched learning: many identically-shaped runs over one shared kernel.
 
 Sweeps and ensembles run many *identically-shaped* learning runs: same
 workflow, same fleet, same environment — only the hyper-parameters and
-seeds differ.  :func:`learn_batch` exploits that by driving B such runs
-("lanes") in lockstep over **one** shared
-:class:`~repro.sim.kernel.EpisodeKernel`:
+seeds differ.  :func:`learn_batch` runs them as a loop of
+:meth:`ReassignLearner.learn() <repro.core.reassign.ReassignLearner.learn>`
+calls that share **one** :class:`~repro.sim.kernel.EpisodeKernel` per
+kernel-fingerprint group: the frozen DAG indexes, nominal estimate
+caches and interned action-pair pool are built once per group and
+amortized across its runs instead of once per run.
 
-- the kernel (frozen DAG indexes, nominal estimate caches, interned
-  action-pair pool) is built once per fingerprint group and amortized
-  across all lanes instead of once per run;
-- lanes advance round-robin, one episode per turn, through a
-  :class:`~repro.sim.kernel.BatchEpisodeState` batch view holding the
-  ``(B,)``-shaped per-lane summaries;
-- eligible lanes take a fused fast path (:func:`_drive_episode`) that
-  inlines the ε-greedy selection, the §III-B reward and the Eq.-3
-  Q-update straight into the event loop, gathering over each lane's
-  interned dense Q-row in one numpy call per step.
+Each run takes whatever path ``learn()`` takes for its spec — the fused
+lane stepper (:mod:`repro.core.lane`) for the paper's rule, the
+scheduler-object loop for SARSA / Double-Q / state buckets / the dict
+backend.  The runs go one after the other: lockstep interleaving
+measured no faster than this loop on the paper grid.
 
-**Bit-identity contract (non-negotiable).**  For every lane, the
+**Bit-identity contract (non-negotiable).**  For every spec, the
 returned :class:`~repro.core.episode.LearningResult` — every episode
 record, every Q-table float, the plan, the serialized JSON — is byte
-for byte what ``ReassignLearner(...).learn()`` returns for the same
-spec, for any batch size B (including B=1) and for both the ``array``
-and ``shard`` Q-table backends.  Three properties make this possible:
-
-1. per-lane RNG streams: each lane derives its episode seeds, policy
-   stream and Q-init stream from its *own* root seed, exactly as the
-   serial learner does — no draw in lane b depends on B;
-2. the shared kernel is reset per episode and scrubbed on exceptions
-   (the existing single-tenancy contract), and the only cross-lane
-   shared mutable structures — the action-pair interner and the
-   nominal estimate memos — are content-addressed caches whose hits
-   return identical objects/values regardless of who warmed them;
-3. the fused fast path replicates ``ReassignScheduler``'s float
-   arithmetic operation for operation (pinned by
-   ``tests/test_batched_engine.py`` across B ∈ {1, 2, 7, 32} and by
-   the frozen A/B benchmark ``results/BENCH_batched_engine.json``).
-
-Lanes whose params the fast path does not cover (sarsa/doubleq rules,
-state buckets, the dict backend) fall back to the real
-``ReassignLearner`` — trivially bit-identical, just not faster.
+for byte what the object-path reference (``EpisodeKernel.run_episode``
+driving a ``ReassignScheduler`` for each ``episode:{i}`` seed, then
+the final-plan rule) produces for the same spec, for any batch size
+and for every Q-table backend.  Sharing the kernel is safe because
+episodes reset its mutable state at entry and scrub it on exceptions,
+and its cross-run shared structures — the action-pair interner and
+the nominal estimate memos — are content-addressed caches whose hits
+return identical objects/values regardless of who warmed them.
+Pinned by ``tests/test_batched_engine.py``.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro.core.episode import EpisodeRecord, LearningResult
-from repro.core.lane import (  # noqa: F401  (re-exported engine API)
-    EpisodeOutcome,
-    _drive_episode,
-    _FastLane,
-    _LiteResult,
-    fast_lane_eligible,
-)
+from repro.core.episode import LearningResult
+from repro.core.lane import fast_lane_eligible
 from repro.core.reassign import (
     ReassignLearner,
     ReassignParams,
-    ReassignScheduler,
     SimulatedLearningClock,
 )
 from repro.dag.graph import Workflow
-from repro.rl.reward import PerformanceReward
-from repro.schedulers.base import SchedulingPlan
 from repro.sim.failures import FailureModel
 from repro.sim.fluctuation import FluctuationModel
-from repro.sim.kernel import BatchEpisodeState, EpisodeKernel
-from repro.sim.metrics import SimulationResult
+from repro.sim.kernel import EpisodeKernel
 from repro.sim.migration import MigrationModel
 from repro.sim.network import NetworkModel
 from repro.sim.vm import Vm
-from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 
 __all__ = ["BatchSpec", "fast_lane_eligible", "learn_batch"]
@@ -82,7 +55,7 @@ __all__ = ["BatchSpec", "fast_lane_eligible", "learn_batch"]
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """One lane of a batched learning run.
+    """One run of a batched learning call.
 
     Mirrors the ``ReassignLearner`` constructor: the same workflow /
     fleet / params / seed / environment models produce a bit-identical
@@ -101,95 +74,32 @@ class BatchSpec:
     single_slot_learning: bool = False
 
 
-@dataclass
-class _Lane:
-    """Engine-internal per-lane bookkeeping."""
-
-    spec: BatchSpec
-    params: ReassignParams
-    learner: ReassignLearner
-    fast: Optional[_FastLane]
-    rng: RngService
-    records: List[EpisodeRecord] = field(default_factory=list)
-    last_result: Optional[SimulationResult] = None
-    elapsed: float = 0.0
-
-
-def _final_plan(
-    lane: _Lane, kernel: EpisodeKernel
-) -> Tuple[SchedulingPlan, float]:
-    """The paper's final plan for a fast lane (mirrors ``learn()``)."""
-    assert lane.fast is not None
-    last = lane.last_result
-    params = lane.params
-    if last is not None and last.succeeded:
-        order = sorted(
-            last.records, key=lambda r: (r.start_time, r.activation_id)
-        )
-        plan = SchedulingPlan(
-            assignment=last.assignment,
-            priority=[r.activation_id for r in order],
-            name=f"ReASSIgN({params.label()})",
-        )
-        return plan, last.makespan
-    # greedy fallback, identical to ReassignLearner.extract_plan
-    greedy = ReassignScheduler(
-        params,
-        qtable=lane.fast.qtable,
-        reward=PerformanceReward(mu=params.mu, rho=params.rho),
-        seed=lane.spec.seed,
-        learning=False,
-    )
-    result = kernel.run_episode(
-        # same seed name as extract_plan on purpose: identical replay
-        greedy,
-        RngService(lane.spec.seed).spawn_seed("greedy"),  # reprolint: disable=RL008
-    )
-    if not result.succeeded:
-        raise ValidationError(
-            "greedy replay did not finish successfully; cannot extract a plan"
-        )
-    order = sorted(
-        result.records, key=lambda r: (r.start_time, r.activation_id)
-    )
-    plan = SchedulingPlan(
-        assignment=result.assignment,
-        priority=[r.activation_id for r in order],
-        name=f"ReASSIgN({params.label()})",
-    )
-    return plan, result.makespan
-
-
 def learn_batch(
     specs: Sequence[BatchSpec], *, timing: str = "wall"
 ) -> List[LearningResult]:
-    """Run B learning lanes in lockstep; results match serial learning.
+    """Learn every spec in turn, sharing one kernel per fingerprint group.
 
-    Lanes are grouped by kernel fingerprint — each group shares one
-    :class:`~repro.sim.kernel.EpisodeKernel` (and hence its frozen DAG
-    indexes, estimate memos and action-pair interner) and advances
-    round-robin through a
-    :class:`~repro.sim.kernel.BatchEpisodeState`, one episode per lane
-    per round.  ``timing="wall"`` accumulates wall-clock seconds per
-    lane; ``timing="simulated"`` accumulates each lane's makespans,
-    matching ``SimulatedLearningClock`` bit for bit.
+    The first run of each group builds the kernel (or pulls it from the
+    parallel runner's per-worker cache via ``ReassignLearner.kernel``);
+    the rest adopt it.  ``timing="wall"`` reports wall-clock learning
+    time; ``timing="simulated"`` runs each learner on a
+    :class:`~repro.core.reassign.SimulatedLearningClock`.
 
     Returns one :class:`~repro.core.episode.LearningResult` per spec,
-    in spec order, each byte-identical to
-    ``ReassignLearner(spec...).learn()``.
+    in spec order, each byte-identical to ``ReassignLearner(spec...)
+    .learn()``.
     """
     if timing not in ("wall", "simulated"):
         raise ValidationError(
             f"timing must be 'wall' or 'simulated', got {timing!r}"
         )
-    wall = timing == "wall"
-    lanes: List[_Lane] = []
+    kernels: Dict[str, EpisodeKernel] = {}
+    results: List[LearningResult] = []
     for spec in specs:
-        params = spec.params if spec.params is not None else ReassignParams()
         learner = ReassignLearner(
             spec.workflow,
             spec.vms,
-            params,
+            spec.params,
             network=spec.network,
             fluctuation=spec.fluctuation,
             failures=spec.failures,
@@ -197,99 +107,14 @@ def learn_batch(
             seed=spec.seed,
             max_attempts=spec.max_attempts,
             single_slot_learning=spec.single_slot_learning,
-            clock=None if wall else SimulatedLearningClock(),
+            clock=SimulatedLearningClock() if timing == "simulated" else None,
         )
-        fast = (
-            _FastLane(params, spec.seed)
-            if fast_lane_eligible(params)
-            else None
-        )
-        lanes.append(
-            _Lane(
-                spec=spec,
-                params=params,
-                learner=learner,
-                fast=fast,
-                rng=RngService(spec.seed),
-            )
-        )
-
-    # Kernel sharing: lanes with the same fingerprint adopt one kernel.
-    # The first lane of each group builds it (or pulls it from the
-    # parallel runner's per-worker cache via ReassignLearner.kernel).
-    kernels: Dict[str, EpisodeKernel] = {}
-    for lane in lanes:
-        fp = lane.learner.kernel_fingerprint()
-        if fp is None:
-            continue
-        shared = kernels.get(fp)
-        if shared is None:
-            kernels[fp] = lane.learner.kernel
-        else:
-            lane.learner.adopt_kernel(shared, fp)
-
-    # Lockstep rounds per kernel group (fast lanes only; fallback lanes
-    # run the serial learner below).
-    groups: Dict[int, List[_Lane]] = {}
-    for lane in lanes:
-        if lane.fast is not None:
-            groups.setdefault(id(lane.learner.kernel), []).append(lane)
-    for group in groups.values():
-        kernel = group[0].learner.kernel
-        bstate = BatchEpisodeState(kernel, len(group))
-        targets = np.array(
-            [lane.params.episodes for lane in group], dtype=np.int64
-        )
-        while bool(bstate.active(targets).any()):
-            for idx, lane in enumerate(group):
-                ep_idx = int(bstate.episodes[idx])
-                if ep_idx >= int(targets[idx]):
-                    continue
-                fast = lane.fast
-                assert fast is not None
-                seed = lane.rng.spawn_seed(f"episode:{ep_idx}")
-                final = ep_idx + 1 >= int(targets[idx])
-                t0 = time.perf_counter() if wall else 0.0
-                result = _drive_episode(
-                    kernel, fast, seed, lite=not final
-                )
-                if wall:
-                    lane.elapsed += time.perf_counter() - t0
-                else:
-                    lane.elapsed += result.makespan
-                if isinstance(result, SimulationResult):
-                    lane.last_result = result
-                lane.records.append(
-                    EpisodeRecord(
-                        episode=ep_idx,
-                        makespan=result.makespan,
-                        final_state=result.final_state,
-                        steps=fast.steps,
-                        mean_reward=(
-                            fast.reward_sum / fast.steps
-                            if fast.steps
-                            else 0.0
-                        ),
-                        final_reward=fast.reward,
-                        assignment=result.assignment,
-                    )
-                )
-                bstate.snapshot(idx, result.makespan, fast.steps)
-
-    # Assemble results in spec order; fallback lanes run serially here.
-    results: List[LearningResult] = []
-    for lane in lanes:
-        if lane.fast is None:
-            results.append(lane.learner.learn())
-            continue
-        plan, simulated_makespan = _final_plan(lane, lane.learner.kernel)
-        results.append(
-            LearningResult(
-                plan=plan,
-                episodes=lane.records,
-                learning_time=lane.elapsed,
-                simulated_makespan=simulated_makespan,
-                qtable_json=lane.fast.qtable.to_json(),
-            )
-        )
+        fp = learner.kernel_fingerprint()
+        if fp is not None:
+            shared = kernels.get(fp)
+            if shared is None:
+                kernels[fp] = learner.kernel
+            else:
+                learner.adopt_kernel(shared, fp)
+        results.append(learner.learn())
     return results

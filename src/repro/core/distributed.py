@@ -4,8 +4,9 @@
 **actors** and one **learner** without giving up the repo's
 bit-reproducibility contract: the returned
 :class:`~repro.core.episode.LearningResult` is byte-identical to the
-serial learner's for *any* actor count (pinned across
-actors ∈ {1, 2, 4, 7} in ``tests/test_distributed_learning.py``).
+serial learner's for *any* actor count (pinned against the object-path
+reference across actors ∈ {1, 2, 4, 7} in
+``tests/test_distributed_learning.py``).
 
 How it works
 ------------
@@ -64,7 +65,7 @@ import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchSpec, _final_plan, _Lane
+from repro.core.batch import BatchSpec
 from repro.core.episode import EpisodeRecord, LearningResult
 from repro.core.lane import (
     EpisodeOutcome,
@@ -263,7 +264,7 @@ def _run_fused_chunk(
     completion-ordered assignment instead of full records.
     """
     if lane is None:
-        lane = _FastLane(params, spec_seed)
+        lane = _FastLane(ReassignScheduler(params, seed=spec_seed))
     _fused_restore(lane, base)
     base_version = lane.qtable.version
     n = len(chunk)
@@ -382,7 +383,7 @@ def _actor_task(payload: Tuple[Any, ...], seed: int) -> List[EpisodeTrace]:
         lkey = (spec.seed, learner.params)
         lane = _WORKER_LANES.get(lkey)
         if lane is None:
-            lane = _FastLane(learner.params, spec.seed)
+            lane = _FastLane(learner.scheduler)
             _WORKER_LANES[lkey] = lane
             _WORKER_BASE0[lkey] = lane.qtable.snapshot()
         if base[0].base_version is not None:
@@ -561,8 +562,8 @@ def learn_distributed(
     batch:
         Episodes per actor wave chunk (≥ 1).  Each actor speculates
         ``batch`` *consecutive* episodes chained from one snapshot
-        (the fused lockstep lanes of :mod:`repro.core.batch` driven
-        end to end), so checkpoint shipping, worker dispatch and lane
+        (the fused lane stepper of :mod:`repro.core.lane` driven end
+        to end), so checkpoint shipping, worker dispatch and lane
         setup amortize across the chunk.  Like ``n_actors``, any value
         yields byte-identical results.
     mode:
@@ -623,8 +624,10 @@ def learn_distributed(
     )
     kernel = learner.kernel
     fused = fast_lane_eligible(params)
-    chain_lane = _FastLane(params, spec.seed) if fused else None
     chain_sched = learner.scheduler
+    # the fused chain runs on the learner's own scheduler state, so the
+    # result tail below is learn()'s for both chains
+    chain_lane = _FastLane(chain_sched) if fused else None
 
     if mode == "auto":
         effective_mode = (
@@ -681,16 +684,12 @@ def learn_distributed(
     probe_failures = 0
     wall_started = time.perf_counter()
 
+    # the fused chain shares chain_sched's table (see above)
     def current_version() -> int:
-        if chain_lane is not None:
-            return chain_lane.qtable.version
         return chain_sched.qtable.version
 
     def bump_version() -> None:
-        if chain_lane is not None:
-            chain_lane.qtable.bump_version()
-        else:
-            chain_sched.qtable.bump_version()
+        chain_sched.qtable.bump_version()
 
     try:
         committed = 0
@@ -839,7 +838,9 @@ def learn_distributed(
                         continue  # driven on the true chain below
                     if fused:
                         if scratch_lane is None:
-                            scratch_lane = _FastLane(params, spec.seed)
+                            scratch_lane = _FastLane(
+                                ReassignScheduler(params, seed=spec.seed)
+                            )
                         if (
                             scratch_view is None
                             or scratch_view.batch < len(chunk)
@@ -1051,42 +1052,11 @@ def learn_distributed(
             host_cores=host_cores(),
         )
 
-    # -- final plan & result (mirrors learn() / learn_batch) ----------------
-    if fused:
-        assert chain_lane is not None
-        lane = _Lane(
-            spec=spec,
-            params=params,
-            learner=learner,
-            fast=chain_lane,
-            rng=RngService(spec.seed),
-            records=records,
-            last_result=last_result,
-            elapsed=elapsed,
-        )
-        plan, simulated_makespan = _final_plan(lane, kernel)
-        return LearningResult(
-            plan=plan,
-            episodes=records,
-            learning_time=elapsed,
-            simulated_makespan=simulated_makespan,
-            qtable_json=chain_lane.qtable.to_json(),
-        )
-    from repro.schedulers.base import SchedulingPlan
-
-    if last_result is not None and last_result.succeeded:
-        order = sorted(
-            last_result.records,
-            key=lambda r: (r.start_time, r.activation_id),
-        )
-        plan = SchedulingPlan(
-            assignment=last_result.assignment,
-            priority=[r.activation_id for r in order],
-            name=f"ReASSIgN({params.label()})",
-        )
-        simulated_makespan = last_result.makespan
-    else:
-        plan, simulated_makespan = learner.extract_plan()
+    # -- final plan & result: learn()'s tail --------------------------------
+    if chain_lane is not None:
+        chain_lane.write_back(chain_sched)
+    assert last_result is not None
+    plan, simulated_makespan = learner._final_plan(last_result)
     return LearningResult(
         plan=plan,
         episodes=records,

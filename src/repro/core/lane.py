@@ -1,18 +1,20 @@
 """The fused episode stepper: one lane, one episode, zero indirection.
 
-This module is the reusable core of both batched engines: the lockstep
-batch engine (:mod:`repro.core.batch`) and the distributed
-actor/learner pipeline (:mod:`repro.core.distributed`) drive learning
-episodes through :func:`_drive_episode`, which fuses the event loop,
-the ε-greedy selection, the §III-B reward and the Eq.-3 Q-update into
-a single function over one :class:`_FastLane`.
+This module is the learning engine behind
+:meth:`ReassignLearner.learn() <repro.core.reassign.ReassignLearner.learn>`
+(and so behind :func:`repro.core.batch.learn_batch`) and the
+distributed actor/learner pipeline (:mod:`repro.core.distributed`):
+they drive learning episodes through :func:`_drive_episode`, which
+fuses the event loop, the ε-greedy selection, the §III-B reward and
+the Eq.-3 Q-update into a single function over one :class:`_FastLane`.
 
 **Bit-identity contract (non-negotiable).**  Every float operation
 replicates ``EpisodeKernel.run_episode`` driving a
 ``ReassignScheduler`` in the same order, so results are bit-identical
-to the serial learner for the same spec — see
-:mod:`repro.core.batch`'s module docstring for the full contract and
-the pinning tests.
+to that object path — the reference the equivalence suites compare
+against (``tests/reference_learner.py``; pinned by
+``tests/test_fused_learn.py``, ``tests/test_batched_engine.py`` and
+``tests/test_distributed_learning.py``).
 
 Two loop bodies implement that contract:
 
@@ -54,15 +56,16 @@ import math
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from itertools import product
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.reassign import ReassignParams
+from repro.core.reassign import ReassignParams, ReassignScheduler
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qshard import ShardStore
 from repro.rl.qtable import QTable
+from repro.rl.reward import VmPerformanceTracker
 from repro.sim.events import Event, EventType
 from repro.sim.failures import NoFailures
 from repro.sim.fluctuation import BurstThrottleFluctuation, NoFluctuation
@@ -74,7 +77,6 @@ from repro.sim.kernel import (
 )
 from repro.sim.metrics import ActivationRecord, SimulationResult
 from repro.sim.trace import TraceBuilder
-from repro.util.rng import RngService
 
 __all__ = [
     "EpisodeOutcome",
@@ -771,11 +773,13 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
 class _FastLane:
     """Per-lane fused RL state (Q-table, policy stream, reward state).
 
-    The mutable counterpart of ``ReassignScheduler`` for the fast path:
-    same Q-table construction, same ``reassign-policy`` stream, same
-    Welford accumulators as :class:`~repro.rl.reward.PerformanceReward`
-    — flattened into plain lists/scalars the fused loop updates in
-    place.
+    The mutable counterpart of a ``ReassignScheduler`` for the fast
+    path.  A lane is built over one scheduler and shares its Q-table
+    and ``reassign-policy`` generator outright; the §III-B reward state
+    is copied in from ``scheduler.reward`` (µ and ρ included), flattened
+    into plain lists/scalars the fused loop updates in place, and
+    :meth:`write_back` copies it out again, so after a fused run the
+    scheduler holds exactly the state the object path leaves.
     """
 
     __slots__ = (
@@ -816,41 +820,57 @@ class _FastLane:
     #: MUST clear it (``_fused_restore`` does).
     pairs_memo: Dict[int, List[Any]]
 
-    def __init__(self, params: ReassignParams, seed: int) -> None:
+    def __init__(self, scheduler: ReassignScheduler) -> None:
+        params = scheduler.params
         self.params = params
-        self.qtable = QTable(
-            init_scale=params.qtable_init_scale,
-            seed=seed,
-            backend=params.qtable_backend,
-        )
+        self.qtable = scheduler.qtable
         self.store = (
-            self.qtable._store
-            if params.qtable_backend == "shard"
-            else None
+            self.qtable._store if self.qtable.backend == "shard" else None
         )
-        # deliberately the SAME stream as ReassignScheduler: the fast
-        # path must replay its exact draws (bit-identity contract)
-        self.rng = RngService(seed).stream("reassign-policy")  # reprolint: disable=RL008
+        self.rng = scheduler._rng
         p = params.epsilon
         self.exploit_p = 1.0 - p if params.epsilon_is_exploration else p
         self.keep_history = params.reward_memory == "full"
         self.t = 1
         self.steps = 0
         self.reward_sum = 0.0
-        self.mu = params.mu
-        self.rho = params.rho
-        self.pos = {}
-        self.exec_n = []
-        self.exec_mean = []
-        self.queue_n = []
-        self.queue_mean = []
-        self.index = []
-        self.g_exec_n = 0
-        self.g_exec_mean = 0.0
-        self.g_queue_n = 0
-        self.g_queue_mean = 0.0
-        self.reward = 0.0
         self.pairs_memo = {}
+        reward = scheduler.reward
+        trackers = list(reward._vms.values())
+        self.mu = reward.mu
+        self.rho = reward.rho
+        self.reward = reward.reward
+        self.pos = {vm_id: i for i, vm_id in enumerate(reward._vms)}
+        self.exec_n = [t.count for t in trackers]
+        self.exec_mean = [t.exec_mean for t in trackers]
+        self.queue_n = list(self.exec_n)
+        self.queue_mean = [t.queue_mean for t in trackers]
+        self.index = [t.mean_index for t in trackers]
+        self.g_exec_n = self.g_queue_n = reward._global.count
+        self.g_exec_mean = reward._global.exec_mean
+        self.g_queue_mean = reward._global.queue_mean
+
+    def write_back(self, scheduler: ReassignScheduler) -> None:
+        """Copy the episode counters and reward state into ``scheduler``.
+
+        The inverse of the reward copy in ``__init__`` (the Q-table and
+        policy generator are shared, so they need no copy).
+        """
+        scheduler._t = self.t
+        scheduler._steps = self.steps
+        scheduler._reward_sum = self.reward_sum
+        reward = scheduler.reward
+        reward._reward = self.reward
+        reward._vms = {
+            vm_id: _tracker(
+                self.mu, self.exec_n[i], self.exec_mean[i],
+                self.queue_mean[i],
+            )
+            for vm_id, i in self.pos.items()
+        }
+        reward._global = _tracker(
+            self.mu, self.g_exec_n, self.g_exec_mean, self.g_queue_mean
+        )
 
     def start_episode(self) -> None:
         """Algorithm 2 per-episode reset (t <- 1, r^t <- 0)."""
@@ -869,6 +889,16 @@ class _FastLane:
             self.g_exec_mean = 0.0
             self.g_queue_n = 0
             self.g_queue_mean = 0.0
+
+
+def _tracker(
+    mu: float, count: int, exec_mean: float, queue_mean: float
+) -> VmPerformanceTracker:
+    tracker = VmPerformanceTracker(mu)
+    tracker.count = count
+    tracker.exec_mean = exec_mean
+    tracker.queue_mean = queue_mean
+    return tracker
 
 
 class _LiteResult:

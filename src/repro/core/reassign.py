@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.episode import EpisodeRecord, LearningResult
 from repro.rl.environment import AVAILABLE, UNAVAILABLE
@@ -62,6 +62,9 @@ from repro.sim.vm import Vm, as_single_slot
 from repro.dag.graph import Workflow
 from repro.util.rng import RngService
 from repro.util.validate import ValidationError, check_probability
+
+if TYPE_CHECKING:
+    from repro.core.lane import EpisodeOutcome
 
 __all__ = [
     "ReassignParams",
@@ -129,9 +132,10 @@ class ReassignParams:
     #: Q-table storage backend: "array" (interned dense fast path),
     #: "shard" (sharded, optionally memmap-backed dense storage — see
     #: repro.rl.qshard) or "dict" (legacy sparse table).  Bit-identical
-    #: results in all three; the dict path is kept as an escape hatch
-    #: and as the reference the equivalence suite checks against (see
-    #: docs/performance.md).
+    #: results in all three; "dict" always learns on the scheduler-object
+    #: path, the one the equivalence suites take as their reference
+    #: (docs/performance.md), while the dense backends learn on the
+    #: fused lane stepper.
     qtable_backend: str = "array"
 
     def __post_init__(self) -> None:
@@ -228,9 +232,9 @@ class ReassignScheduler(OnlineScheduler):
             )
         else:  # pure exploitation (greedy replay)
             self.policy = EpsilonGreedyPolicy(1.0)
-        # repro.core.batch's fused fast path replays this exact stream
-        # (bit-identity contract), so the name is shared by design
-        self._rng = RngService(seed).stream("reassign-policy")  # reprolint: disable=RL008
+        # the fused lane stepper (repro.core.lane) draws from this very
+        # generator when it drives this scheduler's learning run
+        self._rng = RngService(seed).stream("reassign-policy")
         # per-episode state
         self._t = 1
         self._steps = 0
@@ -505,8 +509,8 @@ class ReassignLearner:
     def adopt_kernel(self, kernel: EpisodeKernel, fingerprint: str) -> None:
         """Adopt an externally built kernel (batched-engine sharing).
 
-        :func:`repro.core.batch.learn_batch` groups lanes by kernel
-        fingerprint and builds one kernel per group; the other lanes
+        :func:`repro.core.batch.learn_batch` groups runs by kernel
+        fingerprint and builds one kernel per group; the other runs
         adopt it through here.  ``fingerprint`` is the
         :func:`~repro.sim.kernel.kernel_fingerprint` of the
         configuration that built ``kernel``; it must equal this
@@ -561,54 +565,96 @@ class ReassignLearner:
         episodes reuse one :class:`~repro.sim.kernel.EpisodeKernel`; the
         per-episode seeds (and therefore every simulated number) are
         identical to the historical one-simulator-per-episode path.
+
+        Runs the fused lane stepper covers
+        (:func:`~repro.core.lane.fast_lane_eligible`) with the paper's
+        own reward drive every episode through
+        :func:`repro.core.lane._drive_episode`, all but the last in lite
+        mode, over this learner's own Q-table and policy stream; the
+        reward state is written back to ``self.scheduler`` at the end.
+        The stepper is byte-identical to ``EpisodeKernel.run_episode``
+        driving ``self.scheduler``, which every other run still does.
         """
+        from repro.core.lane import _drive_episode, _FastLane, fast_lane_eligible
+
         kernel = self.kernel
+        sched = self.scheduler
+        # the stepper inlines the paper's reward: a custom reward model
+        # (any PerformanceReward subclass) keeps the object path
+        fused = (
+            fast_lane_eligible(self.params)
+            and type(sched.reward) is PerformanceReward
+        )
+        lane = _FastLane(sched) if fused else None
         rng = RngService(self.seed)
+        n = self.params.episodes
         episodes: List[EpisodeRecord] = []
-        last_result = None
         started = self._clock()
-        for episode_idx in range(self.params.episodes):
-            result = kernel.run_episode(
-                self.scheduler, rng.spawn_seed(f"episode:{episode_idx}")
-            )
+        result: EpisodeOutcome
+        for episode_idx in range(n):
+            seed = rng.spawn_seed(f"episode:{episode_idx}")
+            if lane is None:
+                result = kernel.run_episode(sched, seed)
+                steps = sched.episode_steps
+                mean_reward = sched.episode_mean_reward
+                final_reward = sched.episode_final_reward
+            else:
+                result = _drive_episode(
+                    kernel, lane, seed, lite=episode_idx + 1 < n
+                )
+                steps = lane.steps
+                mean_reward = lane.reward_sum / steps if steps else 0.0
+                final_reward = lane.reward
             if self._clock_advance is not None:
                 self._clock_advance(result.makespan)
-            last_result = result
             episodes.append(
                 EpisodeRecord(
                     episode=episode_idx,
                     makespan=result.makespan,
                     final_state=result.final_state,
-                    steps=self.scheduler.episode_steps,
-                    mean_reward=self.scheduler.episode_mean_reward,
-                    final_reward=self.scheduler.episode_final_reward,
+                    steps=steps,
+                    mean_reward=mean_reward,
+                    final_reward=final_reward,
                     assignment=result.assignment,
                 )
             )
+        if lane is not None:
+            lane.write_back(sched)
         learning_time = self._clock() - started
-
-        # The paper submits "the generated final scheduling plan": the
-        # schedule the final episode actually realized, whose makespan is
-        # the Table III metric.  If that episode failed, fall back to a
-        # greedy replay.
-        if last_result is not None and last_result.succeeded:
-            order = sorted(
-                last_result.records, key=lambda r: (r.start_time, r.activation_id)
-            )
-            plan = SchedulingPlan(
-                assignment=last_result.assignment,
-                priority=[r.activation_id for r in order],
-                name=f"ReASSIgN({self.params.label()})",
-            )
-            simulated_makespan = last_result.makespan
-        else:
-            plan, simulated_makespan = self.extract_plan()
+        # the final episode always runs in full (never lite)
+        assert isinstance(result, SimulationResult)
+        plan, simulated_makespan = self._final_plan(result)
         return LearningResult(
             plan=plan,
             episodes=episodes,
             learning_time=learning_time,
             simulated_makespan=simulated_makespan,
-            qtable_json=self.scheduler.qtable_json(),
+            qtable_json=sched.qtable_json(),
+        )
+
+    def _final_plan(
+        self, last: SimulationResult
+    ) -> Tuple[SchedulingPlan, float]:
+        """The plan :meth:`learn` reports, and its simulated makespan.
+
+        The paper submits "the generated final scheduling plan": the
+        schedule the final episode actually realized, whose makespan is
+        the Table III metric.  If that episode failed, fall back to a
+        greedy replay (:meth:`extract_plan`).  Shared with
+        :func:`repro.core.distributed.learn_distributed`.
+        """
+        if last.succeeded:
+            return self._plan_of(last), last.makespan
+        return self.extract_plan()
+
+    def _plan_of(self, result: SimulationResult) -> SchedulingPlan:
+        order = sorted(
+            result.records, key=lambda r: (r.start_time, r.activation_id)
+        )
+        return SchedulingPlan(
+            assignment=result.assignment,
+            priority=[r.activation_id for r in order],
+            name=f"ReASSIgN({self.params.label()})",
         )
 
     def extract_plan(self) -> Tuple[SchedulingPlan, float]:
@@ -626,20 +672,10 @@ class ReassignLearner:
             learning=False,
         )
         result = self.kernel.run_episode(
-            # repro.core.batch's greedy fallback replays this seed name
-            greedy,
-            RngService(self.seed).spawn_seed("greedy"),  # reprolint: disable=RL008
+            greedy, RngService(self.seed).spawn_seed("greedy")
         )
         if not result.succeeded:
             raise ValidationError(
                 "greedy replay did not finish successfully; cannot extract a plan"
             )
-        order = sorted(
-            result.records, key=lambda r: (r.start_time, r.activation_id)
-        )
-        plan = SchedulingPlan(
-            assignment=result.assignment,
-            priority=[r.activation_id for r in order],
-            name=f"ReASSIgN({self.params.label()})",
-        )
-        return plan, result.makespan
+        return self._plan_of(result), result.makespan

@@ -161,7 +161,7 @@ def run_sweep_batch(
 
     ``payload`` is a tuple of :data:`CellPayload` entries (all with
     ``factory=None``) sharing one workflow/fleet configuration;
-    :func:`repro.core.batch.learn_batch` drives them as lockstep lanes
+    :func:`repro.core.batch.learn_batch` learns them one after another
     over one shared kernel.  Every cell still runs from the same root
     ``seed`` the runner supplies (the paper's semantics), so the records
     are bit-identical to :func:`run_sweep_cell` run per cell.
@@ -238,9 +238,8 @@ def sweep_tasks(
 
     ``batch > 1`` packs up to that many consecutive default cells into
     one :func:`run_sweep_batch` task (keys ``key_prefix + ("batch",
-    i)``), so each task drives its cells as lockstep lanes over one
-    shared kernel — same records, fewer kernel resets and Python
-    round-trips.  Custom ``learner_factory`` cells are never packed
+    i)``), so each task learns its cells over one shared kernel — same
+    records, fewer kernel builds and task round-trips.  Custom ``learner_factory`` cells are never packed
     (the factory contract is one learner per cell).  Flatten mixed
     results with :func:`flatten_sweep_values`.
 
@@ -249,7 +248,7 @@ def sweep_tasks(
     bit-identical records again, but each cell spends its parallelism
     *inside* the run.  The flags compose: with ``actors > 1``, ``batch``
     becomes the number of chained episodes each actor rolls out per
-    speculative wave chunk (instead of the lockstep pack size), so
+    speculative wave chunk (instead of the cells packed per task), so
     ``actors=4, batch=8`` means four actors each speculating eight
     episodes ahead.  ``actors > 1`` is still mutually exclusive with a
     custom ``learner_factory``.
@@ -356,8 +355,8 @@ def sweep_parameters(
 
     ``workers`` fans cells out over a process pool (1 = serial, 0 = all
     cores, None = the ``REPRO_WORKERS`` environment variable); ``batch``
-    packs that many consecutive cells per task into the batched lockstep
-    engine (see :func:`sweep_tasks`).  Records are always returned in
+    packs that many consecutive cells per task into the batched engine
+    (see :func:`sweep_tasks`).  Records are always returned in
     grid order (α outermost, ε innermost) and are identical for every
     worker count and batch size.
     """

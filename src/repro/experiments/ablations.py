@@ -96,7 +96,7 @@ def _reward_batch(payload, seed: int) -> List[RewardAblationRow]:
     """A packed batch of (µ, ρ) arms driven by the batched engine.
 
     All arms share the workflow/fleet kernel and the root seed, so the
-    lockstep lanes are bit-identical to :func:`_reward_cell` per arm.
+    batched runs are bit-identical to :func:`_reward_cell` per arm.
     """
     from repro.core.batch import BatchSpec, learn_batch
 

@@ -115,7 +115,7 @@ def run_paper_sweep(
     as **one** :class:`~repro.runner.ParallelRunner` batch so ``workers``
     parallelism spans fleets, not just one fleet's column.  ``batch``
     (default 8) packs that many consecutive cells per task into the
-    batched lockstep engine (:func:`repro.core.batch.learn_batch`) —
+    batched engine (:func:`repro.core.batch.learn_batch`) —
     pass ``batch=1`` for the historical one-cell-per-task path.  Every
     cell runs Algorithm 2 from the sweep's root seed, so the resulting
     records — and the rendered Tables II/III, when ``timing`` is

@@ -32,6 +32,7 @@ states and ``(activation_id, vm_id)`` tuples.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import (
     Any,
@@ -49,7 +50,7 @@ import numpy as np
 
 from repro.rl.qshard import DEFAULT_SHARD_ROWS, ShardStore
 from repro.util.rng import RngService
-from repro.util.validate import ValidationError
+from repro.util.validate import ValidationError, check_non_negative
 
 __all__ = ["QTable", "QTableSnapshot"]
 
@@ -130,10 +131,17 @@ def _encode_key(key) -> list:
 
 
 def _decode_key(key):
-    """Invert :func:`_encode_key` (lists back to tuples)."""
-    if isinstance(key, list):
-        return tuple(key)
-    return key
+    """Invert :func:`_encode_key` (lists back to tuples).
+
+    Keys read from JSON are outside input, so anything that is neither
+    a scalar nor a flat list of scalars is a :class:`ValidationError`.
+    """
+    parts = key if isinstance(key, list) else [key]
+    if not all(isinstance(k, (str, int, float, type(None))) for k in parts):
+        raise ValidationError(
+            f"Q-table key must be a scalar or a list of scalars, got {key!r}"
+        )
+    return tuple(key) if isinstance(key, list) else key
 
 
 class QTable:
@@ -642,17 +650,50 @@ class QTable:
 
     @classmethod
     def from_json(cls, text: str, seed: int = 0, backend: str = "array") -> "QTable":
-        """Restore a table serialized by :meth:`to_json`."""
+        """Restore a table serialized by :meth:`to_json`.
+
+        The text usually comes from a provenance database, so every
+        malformed part — not an object, a non-list ``entries``, an entry
+        that is not ``[state, action, value]``, a bad key, a non-finite
+        or non-numeric value or ``init_scale`` — raises
+        :class:`ValidationError` here rather than failing later.
+        """
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed QTable JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(
+                f"malformed QTable JSON: expected an object, got {data!r:.60}"
+            )
+        entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise ValidationError(
+                f"malformed QTable JSON: entries must be a list, "
+                f"got {entries!r:.60}"
+            )
         table = cls(
-            init_scale=float(data.get("init_scale", 1e-3)),
+            init_scale=check_non_negative(
+                "init_scale", data.get("init_scale", 1e-3)
+            ),
             seed=seed,
             backend=backend,
         )
-        for s, a, v in data.get("entries", []):
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise ValidationError(
+                    f"malformed QTable entry {entry!r:.60}: "
+                    f"expected [state, action, value]"
+                )
+            s, a, v = entry
+            if (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or not math.isfinite(v)
+            ):
+                raise ValidationError(
+                    f"Q-value must be a finite number, got {v!r}"
+                )
             table.set(_decode_key(s), _decode_key(a), float(v))
         return table
 

@@ -3,7 +3,7 @@
 The distributed learner (`repro.core.distributed`) consumes rollout
 actors' decision traces in strict episode order and must advance the
 *true* Q-table exactly as the fused serial loop
-(``repro.core.batch._drive_episode``) would have.  :class:`ReplayKernel`
+(``repro.core.lane._drive_episode``) would have.  :class:`ReplayKernel`
 packages that loop's three RL table operations — ε-greedy selection,
 next-state max, and the Eq.-3 write — as standalone kernels that mirror
 the fused loop **op for op**: the same exploit coin, the same

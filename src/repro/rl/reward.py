@@ -28,38 +28,43 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Tuple
 
-from repro.util.stats import RunningStats
 from repro.util.validate import ValidationError, check_probability
 
 __all__ = ["VmPerformanceTracker", "PerformanceReward"]
 
 
 class VmPerformanceTracker:
-    """Execution/queue time history of one VM."""
+    """Execution/queue time history of one VM, as running means.
+
+    The reward only ever reads the observation count and the two means,
+    so that is all a tracker stores (Welford's mean recurrence,
+    ``mean += (x - mean) / n``).  The fused learning lane
+    (:mod:`repro.core.lane`) keeps the same three numbers per VM and
+    copies them in and out of these trackers.
+    """
+
+    __slots__ = ("mu", "count", "exec_mean", "queue_mean")
 
     def __init__(self, mu: float) -> None:
         self.mu = check_probability("mu", mu)
-        self.exec_times = RunningStats()
-        self.queue_times = RunningStats()
+        self.count = 0
+        self.exec_mean = 0.0
+        self.queue_mean = 0.0
 
     def observe(self, te: float, tf: float) -> None:
         """Record one activation's execution (te) and queue (tf) times."""
-        if te < 0 or tf < 0:
+        te = float(te)
+        tf = float(tf)
+        if not (te >= 0 and tf >= 0):  # also rejects NaN
             raise ValidationError(f"times must be >= 0, got te={te}, tf={tf}")
-        self.exec_times.push(te)
-        self.queue_times.push(tf)
-
-    @property
-    def count(self) -> int:
-        return self.exec_times.count
+        self.count += 1
+        self.exec_mean += (te - self.exec_mean) / self.count
+        self.queue_mean += (tf - self.queue_mean) / self.count
 
     @property
     def mean_index(self) -> float:
         """``P̄i_j`` (Eq. 4) — 0.0 when the VM has no history."""
-        return (
-            self.exec_times.mean * self.mu
-            + (1.0 - self.mu) * self.queue_times.mean
-        )
+        return self.exec_mean * self.mu + (1.0 - self.mu) * self.queue_mean
 
 
 class PerformanceReward:
@@ -84,8 +89,8 @@ class PerformanceReward:
         self.mu = check_probability("mu", mu)
         self.rho = check_probability("rho", rho)
         self._vms: Dict[int, VmPerformanceTracker] = {}
-        self._global_exec = RunningStats()
-        self._global_queue = RunningStats()
+        # the fleet-wide means (Eq. 5) accumulate exactly like one VM's
+        self._global = VmPerformanceTracker(self.mu)
         self._reward = 0.0
 
     # -- episode control ----------------------------------------------------
@@ -95,8 +100,7 @@ class PerformanceReward:
         self._reward = 0.0
         if not keep_history:
             self._vms.clear()
-            self._global_exec = RunningStats()
-            self._global_queue = RunningStats()
+            self._global = VmPerformanceTracker(self.mu)
 
     # -- observations -------------------------------------------------------
 
@@ -104,10 +108,10 @@ class PerformanceReward:
         """Record one execution without computing a reward (replay/bootstrap)."""
         tracker = self._vms.get(vm_id)
         if tracker is None:
-            tracker = self._vms[vm_id] = VmPerformanceTracker(self.mu)
-        tracker.observe(te, tf)
-        self._global_exec.push(te)
-        self._global_queue.push(tf)
+            tracker = VmPerformanceTracker(self.mu)
+        tracker.observe(te, tf)  # validates before anything is stored
+        self._vms.setdefault(vm_id, tracker)
+        self._global.observe(te, tf)
 
     # -- the paper's quantities ----------------------------------------------
 
@@ -122,10 +126,7 @@ class PerformanceReward:
 
     def global_index(self) -> float:
         """``P̄w`` over all activations (Eq. 5)."""
-        return (
-            self._global_exec.mean * self.mu
-            + (1.0 - self.mu) * self._global_queue.mean
-        )
+        return self._global.mean_index
 
     def index_std(self) -> float:
         """``stdv`` — dispersion of per-VM average indices across VMs.
@@ -134,18 +135,18 @@ class PerformanceReward:
         :meth:`repro.util.stats.RunningStats.push`, so the result is
         bit-identical to pushing through a fresh accumulator): this runs
         once per reward step, i.e. once per dispatched activation, and
-        is the hottest pure-Python loop in the learning path.
+        is the hottest pure-Python loop in the learning path.  Every
+        stored tracker has at least one observation.
         """
         n = 0
         mean = 0.0
         m2 = 0.0
         for tracker in self._vms.values():
-            if tracker.count:
-                x = tracker.mean_index
-                n += 1
-                delta = x - mean
-                mean += delta / n
-                m2 += delta * (x - mean)
+            x = tracker.mean_index
+            n += 1
+            delta = x - mean
+            mean += delta / n
+            m2 += delta * (x - mean)
         return math.sqrt(m2 / n) if n >= 2 else 0.0
 
     def partial_reward(self, vm_id: int) -> float:

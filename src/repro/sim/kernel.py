@@ -82,7 +82,7 @@ _TERMINAL_STATES = ("successfully finished", "finished with failure")
 #: Cap on the content-addressed (ready, idle) -> pairs-tuple interner.
 #: A learning run on a mid-size workflow cycles through a few thousand
 #: distinct configurations, and the batched engine shares one interner
-#: across every lockstep lane of a group — B exploring lanes multiply
+#: across every run of a kernel group — B exploring runs multiply
 #: the live set, and FIFO eviction churns tuple identities, which in
 #: turn misses the Q-table's id()-keyed action-slice memo.  Sizing the
 #: interner well above the multi-lane working set keeps both caches
@@ -288,8 +288,8 @@ class EpisodeState:
         RNG streams are not re-derived, so it is only valid when
         ``kernel.draw_free`` is true — no model ever reads them (the
         attributes keep the previous episode's generators, which a
-        draw-free episode never touches).  Used by the batched lockstep
-        engine (:mod:`repro.core.batch`), where stream construction
+        draw-free episode never touches).  Used by the fused lane
+        stepper (:mod:`repro.core.lane`), where stream construction
         otherwise dominates the per-episode reset cost.
         """
         kernel = self._kernel
@@ -657,8 +657,8 @@ class EpisodeKernel:
         # per-episode RNG streams: no failures/migrations/revocations,
         # and a fluctuation model known to be deterministic.  Exact type
         # checks, not isinstance — a subclass may override behaviour and
-        # start drawing.  Consumers (the batched lockstep engine) use
-        # this to take the stream-free ``EpisodeState.reset_fast`` path.
+        # start drawing.  Consumers (the fused lane stepper) use this
+        # to take the stream-free ``EpisodeState.reset_fast`` path.
         self.draw_free: bool = (
             type(self.failures) is NoFailures
             and type(self.migrations) is NoMigrations
@@ -1046,13 +1046,13 @@ class EpisodeKernel:
 
 
 class BatchEpisodeState:
-    """Lockstep batch view: B episode lanes over one kernel.
+    """Batch view: B episode lanes over one kernel.
 
     The kernel still owns exactly **one** :class:`EpisodeState` (the
     single-tenancy invariant) — lanes take turns advancing it, one
-    whole episode per turn, round-robin.  This view holds the per-lane
-    ``(B,)``-shaped summaries the lockstep engine
-    (:mod:`repro.core.batch`) advances and reads: episode counts,
+    whole episode per turn.  This view holds the per-lane
+    ``(B,)``-shaped summaries the distributed engine's wave chunks
+    (:mod:`repro.core.distributed`) advance and read: episode counts,
     decision steps, makespans, terminal simulated time, terminal
     ready/idle set sizes, and the size of the shared interned
     action-pair pool.  All cross-lane reads are vectorized numpy ops —
@@ -1079,7 +1079,7 @@ class BatchEpisodeState:
         self.idle = np.zeros(batch, dtype=np.int64)
         #: interned (ready, idle) -> action-pair tuples in the shared
         #: kernel pool after each lane's turn (the pool is shared, so
-        #: this is non-decreasing across one lockstep round)
+        #: this is non-decreasing across the lanes of one chunk)
         self.pairs = np.zeros(batch, dtype=np.int64)
 
     def reset(self) -> None:

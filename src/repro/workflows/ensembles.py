@@ -221,7 +221,7 @@ def run_ensemble_campaign(
     actor/learner engine instead (bit-identical results, meant for
     ``workers=1``); ``batch`` then composes with it as the number of
     chained episodes each actor speculates per wave chunk rather than
-    the lockstep pack size.
+    the number of members packed per task.
     """
     if n_instances < 1:
         raise ValidationError("n_instances must be >= 1")

@@ -26,6 +26,8 @@ from repro.runner.parallel import clear_kernel_cache, kernel_cache_stats
 from repro.util.rng import RngService
 from repro.workflows.montage import montage
 
+from tests.reference_learner import reference_learn
+
 # (op, state index, action index, value) — indices keep the key space
 # small enough that interleavings actually collide on rows.
 _OPS = st.lists(
@@ -92,22 +94,25 @@ class TestQTableBackendEquivalence:
 
 class TestLearnerBackendEquivalence:
     def test_learning_run_bit_identical(self):
-        results = {}
-        for backend in ("array", "dict"):
-            learner = ReassignLearner(
+        def learner(backend):
+            return ReassignLearner(
                 montage(25, seed=1),
                 fleet_for(16),
                 ReassignParams(episodes=4, qtable_backend=backend),
                 seed=7,
             )
-            results[backend] = learner.learn()
-        fast, plain = results["array"], results["dict"]
-        assert fast.qtable_json == plain.qtable_json
-        assert [e.to_dict() for e in fast.episodes] == [
-            e.to_dict() for e in plain.episodes
-        ]
-        assert fast.plan.to_json() == plain.plan.to_json()
-        assert fast.simulated_makespan == plain.simulated_makespan
+
+        # array learns on the fused stepper, dict on the scheduler-object
+        # path: both must match the object-path reference
+        want = reference_learn(learner("array"))
+        for backend in ("array", "dict"):
+            got = learner(backend).learn()
+            assert got.qtable_json == want.qtable_json
+            assert [e.to_dict() for e in got.episodes] == [
+                e.to_dict() for e in want.episodes
+            ]
+            assert got.plan.to_json() == want.plan.to_json()
+            assert got.simulated_makespan == want.simulated_makespan
 
 
 def _cell_fingerprints(records):

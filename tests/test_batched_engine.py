@@ -1,8 +1,10 @@
-"""Batched lockstep engine: bit-identical to the serial decision loop.
+"""Batched learning: bit-identical to the object-path decision loop.
 
-``repro.core.batch.learn_batch`` drives B learning lanes through one
-shared simulation kernel — pure performance work, so the PR-level
-contract is byte-equality against ``ReassignLearner.learn()``:
+``repro.core.batch.learn_batch`` runs B learning lanes one after another
+over one shared simulation kernel — pure performance work, so the
+contract is byte-equality against the object-path reference
+(``tests/reference_learner.py``), which shares no code with the fused
+stepper the lanes run:
 
 - a Hypothesis property learns random layered DAGs batched and serial
   and demands identical ``LearningResult.to_json()``;
@@ -35,6 +37,8 @@ from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
+from tests.reference_learner import reference_learn
+
 
 def random_dag(seed: int, n_min: int = 4, n_max: int = 10) -> Workflow:
     """A random layered DAG — deterministic in ``seed``."""
@@ -63,15 +67,17 @@ def _spec(wf, seed, **params):
     )
 
 
-def _serial(spec: BatchSpec):
-    return ReassignLearner(
+def _serial(spec: BatchSpec, **learner_kw):
+    """The object-path reference for one spec."""
+    return reference_learn(ReassignLearner(
         spec.workflow,
         spec.vms,
         spec.params,
         seed=spec.seed,
         max_attempts=spec.max_attempts,
         single_slot_learning=spec.single_slot_learning,
-    ).learn()
+        **learner_kw,
+    ))
 
 
 def _fp(result):
@@ -143,10 +149,7 @@ class TestBatchedVsSerial:
         wf = montage(25, seed=3)
         spec = _spec(wf, 9)
         batched = learn_batch([spec], timing="simulated")[0]
-        serial = ReassignLearner(
-            wf, spec.vms, spec.params, seed=9,
-            clock=SimulatedLearningClock(),
-        ).learn()
+        serial = _serial(spec, clock=SimulatedLearningClock())
         assert batched.to_json() == serial.to_json()
         assert batched.learning_time == batched.simulated_learning_time
 

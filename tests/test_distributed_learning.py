@@ -3,8 +3,10 @@
 ``repro.core.distributed.learn_distributed`` runs speculative rollout
 actors against versioned Q-table snapshots and replays their decision
 traces through one ordered learner — pure performance work, so the
-PR-level contract is byte-equality against ``ReassignLearner.learn()``
-at **any** actor count:
+PR-level contract is byte-equality against the object-path reference
+(``tests/reference_learner.py``: the scheduler-object episode loop,
+written independently of the fused stepper the engine runs) at **any**
+actor count:
 
 - directed tests sweep actor counts over N ∈ {1, 2, 4, 7} in inline
   mode, the full (N, B) ∈ {1, 2, 4} × {1, 2, 8} actor × wave-chunk
@@ -47,14 +49,15 @@ from repro.sim.failures import BernoulliFailures
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
+from tests.reference_learner import reference_learn
 from tests.test_batched_engine import random_dag
 
 
 def _serial(wf, fleet, params, seed=0, **kw):
-    """The reference: the serial learner on the simulated clock."""
-    return ReassignLearner(
+    """The reference: the object-path learner on the simulated clock."""
+    return reference_learn(ReassignLearner(
         wf, fleet, params, seed=seed, clock=SimulatedLearningClock(), **kw
-    ).learn()
+    ))
 
 
 def _distributed(wf, fleet, params, seed=0, learner_kw=None, **kw):

@@ -32,6 +32,8 @@ from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
+from tests.reference_learner import reference_learn
+
 # (op, state index, action index, value) — indices keep the key space
 # small enough that interleavings collide on rows and shard boundaries.
 _OPS = st.lists(
@@ -111,19 +113,22 @@ class TestShardBackendEquivalence:
         assert len(shard) == len(array)
 
     def test_learning_run_bit_identical(self):
-        results = {}
+        # both backends run the fused stepper: pin each to the
+        # object-path reference
+        base = reference_learn(ReassignLearner(
+            montage(25, seed=1), fleet_for(16),
+            ReassignParams(episodes=4), seed=7,
+        ))
         for backend in ("array", "shard"):
             params = ReassignParams(episodes=4, qtable_backend=backend)
-            learner = ReassignLearner(
+            got = ReassignLearner(
                 montage(25, seed=1), fleet_for(16), params, seed=7
-            )
-            results[backend] = learner.learn()
-        base, got = results["array"], results["shard"]
-        assert got.qtable_json == base.qtable_json
-        assert [e.to_dict() for e in got.episodes] == [
-            e.to_dict() for e in base.episodes
-        ]
-        assert got.plan.to_json() == base.plan.to_json()
+            ).learn()
+            assert got.qtable_json == base.qtable_json
+            assert [e.to_dict() for e in got.episodes] == [
+                e.to_dict() for e in base.episodes
+            ]
+            assert got.plan.to_json() == base.plan.to_json()
 
     def test_memmap_backed_table_bit_identical(self, tmp_path):
         mm = QTable(init_scale=1e-3, seed=4, backend="shard",

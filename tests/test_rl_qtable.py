@@ -89,6 +89,33 @@ class TestPersistence:
         with pytest.raises(ValidationError):
             QTable.from_json("][")
 
+    @pytest.mark.parametrize("backend", ["array", "dict", "shard"])
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[]", "expected an object"),
+            ('{"entries": 5}', "entries must be a list"),
+            ('{"entries": [["available"]]}', r"expected \[state, action, value\]"),
+            ('{"init_scale": "abc"}', "init_scale must be a number"),
+            ('{"init_scale": -1}', "init_scale must be >= 0"),
+            ('{"entries": [["available", [0, 1], NaN]]}', "finite number"),
+            ('{"entries": [["available", [0, 1], -Infinity]]}', "finite number"),
+            ('{"entries": [["available", [0, 1], "1.5"]]}', "finite number"),
+            ('{"entries": [[{}, [0, 1], 1.0]]}', "scalar or a list of scalars"),
+            ('{"entries": [["s", [[0], 1], 1.0]]}', "scalar or a list of scalars"),
+        ],
+    )
+    def test_bad_input_is_a_validation_error(self, text, match, backend):
+        # prior tables come from provenance: reject at the edge
+        with pytest.raises(ValidationError, match=match):
+            QTable.from_json(text, backend=backend)
+
+    def test_scalar_keys_stay_legal(self):
+        back = QTable.from_json(
+            '{"entries": [["s", 3, 1.5], [7, [0, 1], -2]], "init_scale": 0}'
+        )
+        assert back.items() == [("s", 3, 1.5), (7, (0, 1), -2.0)]
+
     def test_items_sorted(self):
         t = QTable(init_scale=0.0)
         t.set("b", "y", 1.0)

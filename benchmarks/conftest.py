@@ -5,8 +5,8 @@ once per session (``pedantic`` with a single round — these are experiment
 reproductions, not micro-benchmarks) and writes the rendered artifact to
 ``results/`` so the repository keeps a copy of the regenerated tables.
 
-The A/B throughput benchmarks (decision loop, batched engine, service,
-distributed learning) share the same measurement discipline, so its
+The A/B throughput benchmarks (decision loop, batched engine, service)
+share the same measurement discipline, so its
 building blocks live here rather than being re-derived per file:
 
 - :func:`gc_paused` — drain the collector before and disable it during
@@ -73,15 +73,16 @@ def best_of(reps, run, elapsed=lambda r: r[1]):
 def host_provenance():
     """Host facts every frozen ``BENCH_*.json`` must carry.
 
-    ``host_cores`` is the distributed engine's own core count (CPU
-    affinity aware, so container quotas are respected) and ``pool_mode``
-    is the actor transport its ``mode="auto"`` would resolve to on this
-    host.  Ratio metrics divide machine speed out, but *which engine
-    path* produced a frozen number is not divisible away — a single-core
-    runner records inline-engine ratios that a multi-core reader would
-    otherwise misattribute to the process pool.
+    ``host_cores`` is the usable core count (CPU affinity aware, so
+    container quotas are respected) and ``pool_mode`` says whether a
+    multi-worker :class:`~repro.runner.ParallelRunner` can overlap work
+    on this host (``"pool"``) or not (``"inline"``: one core, so extra
+    workers only add IPC).  Ratio metrics divide machine speed out, but
+    whether a pool *could* run in parallel is not divisible away — a
+    single-core runner records ratios that a multi-core reader would
+    otherwise misattribute to parallel execution.
     """
-    from repro.core.distributed import host_cores
+    from repro.runner.parallel import host_cores
 
     cores = host_cores()
     return {
@@ -103,8 +104,8 @@ def git_head():
 def learning_fingerprint(result):
     """Deterministic content of a LearningResult — no wall clock.
 
-    Two engine arms (serial vs batched, serial vs distributed) must
-    agree on this tuple bit for bit before their timing ratio counts.
+    Two engine arms (e.g. serial vs batched) must agree on this tuple
+    bit for bit before their timing ratio counts.
     """
     return (
         result.qtable_json,

@@ -42,8 +42,6 @@ __all__ = [
     "RuleRL005",
     "RuleRL006",
     "RuleRL007",
-    "RuleRL014",
-    "RuleRL015",
 ]
 
 
@@ -678,239 +676,6 @@ class RuleRL007(Rule):
                 )
 
 
-# -- RL014: Python loops over batch axes --------------------------------------
-
-
-class RuleRL014(Rule):
-    """No per-lane Python loops over batch axes in sim/rl hot paths.
-
-    The lockstep engine advances B lanes through ``(B,)``-shaped numpy
-    views (:class:`repro.sim.kernel.BatchEpisodeState`).  A Python
-    ``for`` (or comprehension) over ``X.lanes``, ``range(X.batch)`` or
-    ``range(len(X.lanes))`` re-introduces per-lane interpreter cost on
-    exactly the axis the batched engine amortizes — at B lanes times E
-    episodes, a stray scalar loop undoes the lockstep dividend.  Write
-    the operation as one vectorized numpy expression over the batch
-    arrays instead.
-    """
-
-    code = "RL014"
-    summary = "Python loop over a batch axis; vectorize over the (B,) arrays"
-
-    def applies(self, path: str) -> bool:
-        return in_subpackages(path, ("sim", "rl"))
-
-    @staticmethod
-    def _lane_aliases(tree: ast.Module) -> Set[str]:
-        """Names assigned from an ``<expr>.lanes`` attribute read."""
-        aliases: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if isinstance(value, ast.Attribute) and value.attr == "lanes":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        aliases.add(target.id)
-        return aliases
-
-    @staticmethod
-    def _is_lanes(node: ast.expr, aliases: Set[str]) -> bool:
-        if isinstance(node, ast.Attribute) and node.attr == "lanes":
-            return True
-        return isinstance(node, ast.Name) and node.id in aliases
-
-    def _is_batch_iter(self, node: ast.expr, aliases: Set[str]) -> bool:
-        if self._is_lanes(node, aliases):
-            return True
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            return False
-        fn = node.func.id
-        if fn == "enumerate":
-            return bool(node.args) and self._is_lanes(node.args[0], aliases)
-        if fn != "range":
-            return False
-        for arg in node.args:
-            if isinstance(arg, ast.Attribute) and arg.attr == "batch":
-                return True
-            if (
-                isinstance(arg, ast.Call)
-                and isinstance(arg.func, ast.Name)
-                and arg.func.id == "len"
-                and arg.args
-                and self._is_lanes(arg.args[0], aliases)
-            ):
-                return True
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        aliases = self._lane_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            iters: List[Tuple[ast.AST, ast.expr]] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters = [(node, node.iter)]
-            elif isinstance(
-                node,
-                (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-            ):
-                iters = [(gen.iter, gen.iter) for gen in node.generators]
-            for anchor, it in iters:
-                if self._is_batch_iter(it, aliases):
-                    yield ctx.finding(
-                        anchor,
-                        self.code,
-                        "per-lane Python loop over a batch axis "
-                        "('.lanes' / 'range(.batch)'); vectorize over "
-                        "the (B,)-shaped batch arrays instead",
-                    )
-
-
-# -- RL015: Python loops over trace step arrays -------------------------------
-
-#: The columnar per-step arrays of ``repro.sim.trace.EpisodeTrace``.
-#: Attribute reads of these names create "step array" aliases; looping
-#: one re-introduces per-step interpreter cost on the replay axis.
-_TRACE_STEP_ATTRS = frozenset({
-    "pairs_idx", "next_idx", "act_pos", "act_a", "act_v", "explored",
-    "te", "tf", "n_finished", "q_value", "table_version",
-})
-
-
-class RuleRL015(Rule):
-    """No per-step Python loops over ``EpisodeTrace`` step arrays.
-
-    The trace is columnar on purpose: the replay kernels validate a
-    whole stale trace through vectorized gathers
-    (:meth:`repro.rl.replay.ReplayKernel.validate_trace`), so a Python
-    ``for`` over a step column — ``trace.act_v``, ``range(n_steps)``,
-    ``range(len(pairs_idx))``, ``range(act_v.shape[0])`` — walks the
-    axis those kernels amortize, at T steps times E episodes per run.
-    Hoist the work into one numpy expression over the column, or push
-    it behind the replay kernel.  The two sanctioned scans (sequential
-    RNG draws, order-sensitive running means) carry inline
-    ``reprolint: disable=RL015`` markers explaining why a per-step walk
-    is the *contract* there, not an accident.
-    """
-
-    code = "RL015"
-    summary = "Python loop over EpisodeTrace step arrays; vectorize the column"
-
-    def applies(self, path: str) -> bool:
-        return in_subpackages(path, ("rl", "core"))
-
-    @staticmethod
-    def _collect_aliases(tree: ast.Module) -> Tuple[Set[str], Set[str]]:
-        """(step-array alias names, step-count alias names).
-
-        Step arrays: ``col = <expr>.act_v`` and friends.  Step counts:
-        ``n = <expr>.n_steps`` / ``n = len(col)`` /
-        ``n = col.shape[0]`` (optionally ``int(...)``-wrapped) — two
-        passes so a count derived from an aliased column resolves.
-        """
-        arrays: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if (
-                isinstance(value, ast.Attribute)
-                and value.attr in _TRACE_STEP_ATTRS
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        arrays.add(target.id)
-        counts: Set[str] = set()
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Assign):
-                continue
-            if RuleRL015._is_step_count(node.value, arrays, counts):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        counts.add(target.id)
-        return arrays, counts
-
-    @staticmethod
-    def _is_step_array(node: ast.expr, arrays: Set[str]) -> bool:
-        if isinstance(node, ast.Attribute):
-            if node.attr in _TRACE_STEP_ATTRS:
-                return True
-            # `trace.steps` / `stale_trace.steps`: the materialized
-            # DecisionStep views — same per-step axis, plus the object
-            # construction the columns exist to avoid
-            return node.attr == "steps" and (
-                isinstance(node.value, ast.Name)
-                and "trace" in node.value.id.lower()
-            )
-        return isinstance(node, ast.Name) and node.id in arrays
-
-    @staticmethod
-    def _is_step_count(
-        node: ast.expr, arrays: Set[str], counts: Set[str]
-    ) -> bool:
-        if isinstance(node, ast.Attribute) and node.attr == "n_steps":
-            return True
-        if isinstance(node, ast.Name) and node.id in counts:
-            return True
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            fn = node.func.id
-            if fn in ("int", "len") and len(node.args) == 1:
-                inner = node.args[0]
-                if fn == "len":
-                    return RuleRL015._is_step_array(inner, arrays)
-                return RuleRL015._is_step_count(inner, arrays, counts)
-        # col.shape[0]
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "shape"
-            and RuleRL015._is_step_array(node.value.value, arrays)
-        ):
-            return True
-        return False
-
-    def _is_step_iter(
-        self, node: ast.expr, arrays: Set[str], counts: Set[str]
-    ) -> bool:
-        if self._is_step_array(node, arrays):
-            return True
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
-            return False
-        fn = node.func.id
-        if fn == "enumerate":
-            return bool(node.args) and self._is_step_array(
-                node.args[0], arrays
-            )
-        if fn == "zip":
-            return any(self._is_step_array(arg, arrays) for arg in node.args)
-        if fn == "range":
-            return any(
-                self._is_step_count(arg, arrays, counts) for arg in node.args
-            )
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        arrays, counts = self._collect_aliases(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            iters: List[Tuple[ast.AST, ast.expr]] = []
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                iters = [(node, node.iter)]
-            elif isinstance(
-                node,
-                (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-            ):
-                iters = [(gen.iter, gen.iter) for gen in node.generators]
-            for anchor, it in iters:
-                if self._is_step_iter(it, arrays, counts):
-                    yield ctx.finding(
-                        anchor,
-                        self.code,
-                        "per-step Python loop over an EpisodeTrace step "
-                        "array ('trace.act_v' / 'range(n_steps)'); "
-                        "vectorize over the column or go through the "
-                        "replay kernel",
-                    )
-
-
 #: The default rule registry, in code order.
 ALL_RULES: Tuple[Rule, ...] = (
     RuleRL001(),
@@ -920,6 +685,4 @@ ALL_RULES: Tuple[Rule, ...] = (
     RuleRL005(),
     RuleRL006(),
     RuleRL007(),
-    RuleRL014(),
-    RuleRL015(),
 )

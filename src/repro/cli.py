@@ -87,57 +87,6 @@ def _batch_arg(value: str) -> int:
     return batch
 
 
-def _actors_arg(value: str) -> int:
-    """Parse/validate ``--actors``: a clean error instead of a traceback."""
-    try:
-        actors = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"actors must be an integer >= 1, got {value!r}"
-        )
-    if actors < 1:
-        raise argparse.ArgumentTypeError(f"actors must be >= 1, got {actors}")
-    return actors
-
-
-def _resolve_parallelism(parser: argparse.ArgumentParser, args) -> None:
-    """Validate the ``--actors`` / ``--batch`` / ``--workers`` interplay.
-
-    One place for every subcommand, so the rules (and the error wording)
-    cannot drift between ``learn``, ``sweep`` and ``ensemble``:
-
-    - ``--actors N`` and ``--batch B`` *compose*: with actors, B is the
-      number of chained episodes each actor rolls out per speculative
-      wave chunk; without actors, B is the number of runs packed into
-      one batched task over a shared kernel.  Either way, every (N, B)
-      pair is bit-identical to the serial learner.
-    - ``--actors N`` (N > 1) and ``--workers W`` (W != 1) are mutually
-      exclusive where both exist: nesting the per-run actor pool inside
-      the per-run worker pool oversubscribes the host.
-
-    ``--batch`` parses with ``default=None`` so an *explicit* value can
-    be told apart from the per-command default (1 for ``learn``, 8 for
-    ``sweep``/``ensemble``); with ``--actors`` given, an unspecified
-    batch resolves to 1 (no speculation depth) instead of the default.
-    """
-    actors = getattr(args, "actors", None)
-    if hasattr(args, "batch") and args.batch is None:
-        if actors is not None and actors > 1:
-            args.batch = 1
-        else:
-            args.batch = 1 if args.command == "learn" else 8
-    if actors is None or actors == 1:
-        return
-    workers = getattr(args, "workers", 1)
-    if workers != 1:
-        parser.error(
-            f"--actors {actors} cannot be combined with --workers "
-            f"{workers}: the actor pool runs inside each learning run; "
-            "use --workers for many independent runs OR --actors for one "
-            "distributed run, not both"
-        )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -167,22 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_batch_arg(p, what: str):
         p.add_argument(
-            "--batch", type=_batch_arg, default=None, metavar="B",
-            help=f"learning runs (lanes) per batched task: up to B {what} "
-                 "share one simulation kernel, learned one after another; "
-                 "with --actors, B chained episodes per actor wave chunk "
-                 "instead (results are bit-identical for every B; 1 = "
-                 "one run per task; default 8, or 1 with --actors)",
-        )
-
-    def add_actors_arg(p, what: str):
-        p.add_argument(
-            "--actors", type=_actors_arg, default=None, metavar="N",
-            help=f"distributed actor/learner engine: N speculative rollout "
-                 f"actors per {what} feed one ordered replay learner; "
-                 "composes with --batch B (B chained episodes per actor "
-                 "wave chunk; results are bit-identical for every N and B; "
-                 "mutually exclusive with --workers != 1)",
+            "--batch", type=_batch_arg, default=8, metavar="B",
+            help=f"learning runs per task: up to B {what} share one "
+                 "simulation kernel and are learned one after another "
+                 "(results are bit-identical for every B; 1 = one run per "
+                 "task; default 8)",
         )
 
     p = sub.add_parser(
@@ -196,14 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--plan-out", metavar="PATH", help="write plan JSON here")
-    p.add_argument(
-        "--batch", type=_batch_arg, default=None, metavar="B",
-        help="mirrors sweep/ensemble: a single learn run is one lane, so "
-             "B only matters with --actors (B chained episodes per actor "
-             "wave chunk); any B >= 1 yields bit-identical results "
-             "(default 1)",
-    )
-    add_actors_arg(p, "run")
 
     p = sub.add_parser("pipeline", help="full SciCumulus-RL pipeline")
     add_workflow_args(p)
@@ -218,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers", type=int, default=1, metavar="N",
             help="worker processes for independent runs "
-                 "(1 = serial, 0 = all cores; default 1)",
+                 "(1 = serial, 0 = all usable cores; default 1)",
         )
 
     p = sub.add_parser("table", help="regenerate a paper table")
@@ -244,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "simulated learning time")
     add_workers_arg(p)
     add_batch_arg(p, "grid cells")
-    add_actors_arg(p, "grid cell")
 
     p = sub.add_parser("ensemble",
                        help="learn plans for a workflow ensemble campaign")
@@ -256,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     add_workers_arg(p)
     add_batch_arg(p, "ensemble members")
-    add_actors_arg(p, "ensemble member")
 
     p = sub.add_parser(
         "serve",
@@ -343,27 +271,8 @@ def _cmd_learn(args) -> int:
     fleet = fleet_for(args.vcpus)
     params = ReassignParams(alpha=args.alpha, gamma=args.gamma,
                             epsilon=args.epsilon, episodes=args.episodes)
-    stats = None
-    if args.actors is not None:
-        from repro.core.distributed import learn_distributed
-
-        stats = {}
-        result = learn_distributed(
-            wf, fleet, params, seed=args.seed,
-            n_actors=args.actors, batch=args.batch, stats_out=stats,
-        )
-    else:
-        result = ReassignLearner(wf, fleet, params, seed=args.seed).learn()
+    result = ReassignLearner(wf, fleet, params, seed=args.seed).learn()
     print(f"learned {wf.name} on {args.vcpus} vCPUs [{params.label()}]")
-    if stats is not None:
-        rate = stats["speculative_hit_rate"]
-        spec = (
-            f", hit rate={rate:.2f}" if rate is not None
-            else ", no speculation"
-        )
-        print(f"actors            = {stats['n_actors']} "
-              f"(batch={stats['batch']}, mode={stats['mode']}, "
-              f"waves={stats['waves']}{spec})")
     print(f"learning time     = {result.learning_time:.2f}s "
           f"({result.n_episodes} episodes)")
     print(f"first episode     = {result.episodes[0].makespan:.2f}s")
@@ -443,7 +352,6 @@ def _cmd_sweep(args) -> int:
         timing=args.timing,
         progress=progress,
         batch=args.batch,
-        actors=args.actors or 1,
     )
     print()
     print(sweep.render_table2())
@@ -463,7 +371,6 @@ def _cmd_ensemble(args) -> int:
         seed=args.seed,
         workers=args.workers,
         batch=args.batch,
-        actors=args.actors or 1,
     )
     print(render_table(
         ["member", "workflow", "seed", "simulated makespan [s]"],
@@ -597,7 +504,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    _resolve_parallelism(parser, args)
     return _COMMANDS[args.command](args)
 
 

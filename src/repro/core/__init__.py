@@ -11,14 +11,11 @@ execution by the SWfMS.  Public entry points:
 - :func:`~repro.core.sweep.sweep_parameters` — the (α, γ, ε) grid
   evaluation behind the paper's Tables II and III;
 - :func:`~repro.core.batch.learn_batch` — many independent learning
-  runs in one process over one shared kernel;
-- :func:`~repro.core.distributed.learn_distributed` — speculative
-  actor/learner training, bit-identical to serial at any actor count.
+  runs in one process over one shared kernel.
 """
 
 from repro.core.reassign import ReassignLearner, ReassignParams, ReassignScheduler
 from repro.core.batch import BatchSpec, learn_batch
-from repro.core.distributed import learn_distributed
 from repro.core.episode import EpisodeRecord, LearningResult
 from repro.core.sweep import SweepRecord, sweep_parameters
 
@@ -28,7 +25,6 @@ __all__ = [
     "ReassignScheduler",
     "BatchSpec",
     "learn_batch",
-    "learn_distributed",
     "EpisodeRecord",
     "LearningResult",
     "SweepRecord",

@@ -2,9 +2,8 @@
 
 This module is the learning engine behind
 :meth:`ReassignLearner.learn() <repro.core.reassign.ReassignLearner.learn>`
-(and so behind :func:`repro.core.batch.learn_batch`) and the
-distributed actor/learner pipeline (:mod:`repro.core.distributed`):
-they drive learning episodes through :func:`_drive_episode`, which
+(and so behind :func:`repro.core.batch.learn_batch`): it drives
+learning episodes through :func:`_drive_episode`, which
 fuses the event loop, the ε-greedy selection, the §III-B reward and
 the Eq.-3 Q-update into a single function over one :class:`_FastLane`.
 
@@ -13,8 +12,7 @@ replicates ``EpisodeKernel.run_episode`` driving a
 ``ReassignScheduler`` in the same order, so results are bit-identical
 to that object path — the reference the equivalence suites compare
 against (``tests/reference_learner.py``; pinned by
-``tests/test_fused_learn.py``, ``tests/test_batched_engine.py`` and
-``tests/test_distributed_learning.py``).
+``tests/test_fused_learn.py`` and ``tests/test_batched_engine.py``).
 
 Two loop bodies implement that contract:
 
@@ -76,7 +74,6 @@ from repro.sim.kernel import (
     SimulationError,
 )
 from repro.sim.metrics import ActivationRecord, SimulationResult
-from repro.sim.trace import TraceBuilder
 
 __all__ = [
     "EpisodeOutcome",
@@ -109,7 +106,6 @@ _LEAN_SCALAR_LIMIT = 256
 def _drive_general(
     kernel: EpisodeKernel,
     lane: _FastLane,
-    trace: Optional[TraceBuilder],
     lite: bool,
 ) -> SimulationResult:
     """The general loop body (state already reset; handles every event).
@@ -179,9 +175,6 @@ def _drive_general(
         gamma = params.gamma
         discount_power = params.discount_power
         sid = table._state_id(AVAILABLE)
-        # the whole episode writes through this one row: one era mark
-        # keeps delta snapshots (QTable.snapshot(since=...)) sound
-        table.mark_row_dirty(sid)
         slice_memo = table._action_slice
         # one-entry identity cache over slice_memo: the update's
         # next_pairs is usually the next selection's pairs (same
@@ -440,7 +433,6 @@ def _drive_general(
                         i = int(rng_integers(len(pairs)))
                         action = pairs[i]
                         sel_aid = None
-                    act_pos = i
                     activation_id, vm_id = action
                     ac = ac_by_id[activation_id]
                     vm = vm_by_id[vm_id]
@@ -673,7 +665,6 @@ def _drive_general(
                             future = float(row.take(aids).max())
                     else:
                         future = 0.0
-                    explored = sel_aid is None
                     if sel_aid is None:
                         sel_aid = table._action_id(action)
                     if store is not None:
@@ -694,12 +685,6 @@ def _drive_general(
                     delta = r_t + gamma_t * future - q_sa
                     q_new = q_sa + float(alpha * delta)
                     qrow[sel_aid] = q_new
-                    if trace is not None:
-                        trace.append(
-                            pairs, action, act_pos, explored, te, tf,
-                            next_pairs, state._n_finished, r_t, q_new,
-                            table._version,
-                        )
                     t_rl += 1
                     steps += 1
             elif etype is _VM_READY:
@@ -815,9 +800,8 @@ class _FastLane:
     #: id(pairs-tuple) → ``[pairs, id_list, ids_array|None, ensured]``
     #: — the lean loop's cross-episode action-slice cache.  Entries pin
     #: their pairs tuple (slot 0), so the id key can never be reused
-    #: while the entry lives.  Valid only while the table's action
-    #: interning grows monotonically: any ``QTable.restore()`` rollback
-    #: MUST clear it (``_fused_restore`` does).
+    #: while the entry lives.  Valid because the table's action
+    #: interning only ever grows.
     pairs_memo: Dict[int, List[Any]]
 
     def __init__(self, scheduler: ReassignScheduler) -> None:
@@ -942,7 +926,6 @@ def _drive_episode(
     kernel: EpisodeKernel,
     lane: _FastLane,
     seed: int,
-    trace: Optional[TraceBuilder] = None,
     lite: bool = False,
 ) -> EpisodeOutcome:
     """One fully-inlined learning episode on the fast path.
@@ -952,11 +935,6 @@ def _drive_episode(
     body otherwise — both bit-identical to ``EpisodeKernel.run_episode``
     driving a ``ReassignScheduler`` (see the module docstring).
 
-    When ``trace`` is a :class:`~repro.sim.trace.TraceBuilder`, one
-    decision per step is appended to it (the distributed learner's
-    rollout actors pass a fresh builder per episode).  Tracing is
-    purely observational: it reads values the loop already computed and
-    never draws, so traced and untraced episodes are bit-identical.
     ``lite=True`` skips per-activation record construction (see
     :class:`_LiteResult`).
     """
@@ -965,17 +943,16 @@ def _drive_episode(
         state.reset_fast()
         lane.start_episode()
         if kernel._shared_staging and not state.queue._heap:
-            return _drive_lean(kernel, lane, trace, lite)
+            return _drive_lean(kernel, lane, lite)
     else:
         state.reset(int(seed))
         lane.start_episode()
-    return _drive_general(kernel, lane, trace, lite)
+    return _drive_general(kernel, lane, lite)
 
 
 def _drive_lean(
     kernel: EpisodeKernel,
     lane: _FastLane,
-    trace: Optional[TraceBuilder],
     lite: bool,
 ) -> EpisodeOutcome:
     """The specialized loop body (state already reset; see module doc).
@@ -1031,22 +1008,18 @@ def _drive_lean(
     gamma = params.gamma
     discount_power = params.discount_power
     sid = table._state_id(AVAILABLE)
-    # the whole episode writes through this one row: one era mark
-    # keeps delta snapshots (QTable.snapshot(since=...)) sound
-    table.mark_row_dirty(sid)
     aget = table._action_ids.get
     action_id = table._action_id
     ensure_known = table._ensure_known
-    # lane-persistent action-slice cache (invalidated on restore());
-    # entry: [pairs, id_list, ids_array|None, ensured].  Building an
-    # id_list registers unseen actions left-to-right — the exact
-    # first-touch order of QTable._action_slice — and never draws.
+    # lane-persistent action-slice cache; entry: [pairs, id_list,
+    # ids_array|None, ensured].  Building an id_list registers unseen
+    # actions left-to-right — the exact first-touch order of
+    # QTable._action_slice — and never draws.
     pmemo = lane.pairs_memo
     pmemo_get = pmemo.get
     t_rl = 1
     steps = 0
     reward_sum = 0.0
-    tversion = table._version
 
     # Python-float mirror of the single Q-row: scalar reductions read
     # plain floats (same IEEE doubles as the numpy cells), resynced
@@ -1405,7 +1378,6 @@ def _drive_lean(
                         future = float(qrow.take(ids).max())
                 else:
                     future = 0.0
-                explored = sel_aid is None
                 if sel_aid is None:
                     sel_aid = table._action_id(action)
                     if (
@@ -1444,11 +1416,6 @@ def _drive_lean(
                 q_new = q_sa + alpha * delta
                 qrow[sel_aid] = q_new
                 row_list[sel_aid] = q_new
-                if trace is not None:
-                    trace.append(
-                        pairs, action, ipos, explored, te, tf,
-                        next_pairs, n_finished, r_t, q_new, tversion,
-                    )
                 t_rl += 1
                 steps += 1
 

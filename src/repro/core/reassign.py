@@ -623,7 +623,14 @@ class ReassignLearner:
         learning_time = self._clock() - started
         # the final episode always runs in full (never lite)
         assert isinstance(result, SimulationResult)
-        plan, simulated_makespan = self._final_plan(result)
+        # the paper submits "the generated final scheduling plan": the
+        # schedule the final episode realized, whose makespan is the
+        # Table III metric; a failed final episode falls back to a
+        # greedy replay
+        if result.succeeded:
+            plan, simulated_makespan = self._plan_of(result), result.makespan
+        else:
+            plan, simulated_makespan = self.extract_plan()
         return LearningResult(
             plan=plan,
             episodes=episodes,
@@ -631,21 +638,6 @@ class ReassignLearner:
             simulated_makespan=simulated_makespan,
             qtable_json=sched.qtable_json(),
         )
-
-    def _final_plan(
-        self, last: SimulationResult
-    ) -> Tuple[SchedulingPlan, float]:
-        """The plan :meth:`learn` reports, and its simulated makespan.
-
-        The paper submits "the generated final scheduling plan": the
-        schedule the final episode actually realized, whose makespan is
-        the Table III metric.  If that episode failed, fall back to a
-        greedy replay (:meth:`extract_plan`).  Shared with
-        :func:`repro.core.distributed.learn_distributed`.
-        """
-        if last.succeeded:
-            return self._plan_of(last), last.makespan
-        return self.extract_plan()
 
     def _plan_of(self, result: SimulationResult) -> SchedulingPlan:
         order = sorted(

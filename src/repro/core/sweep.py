@@ -41,7 +41,6 @@ __all__ = [
     "sweep_parameters",
     "sweep_tasks",
     "run_sweep_batch",
-    "run_sweep_cell_distributed",
     "flatten_sweep_values",
     "PAPER_GRID",
 ]
@@ -104,41 +103,6 @@ def run_sweep_cell(payload: CellPayload, seed: int) -> SweepRecord:
     else:
         learner = factory(workflow, vms, params, seed)
     result = learner.learn()
-    learning_time = (
-        result.simulated_learning_time
-        if timing == "simulated"
-        else result.learning_time
-    )
-    return SweepRecord(
-        alpha=params.alpha,
-        gamma=params.gamma,
-        epsilon=params.epsilon,
-        learning_time=learning_time,
-        simulated_makespan=result.simulated_makespan,
-        result=result,
-    )
-
-
-def run_sweep_cell_distributed(
-    payload: Tuple[Workflow, List[Vm], ReassignParams, str, int, int],
-    seed: int,
-) -> SweepRecord:
-    """Execute one sweep cell through the distributed actor/learner engine.
-
-    ``payload`` is ``(workflow, vms, params, timing, actors, batch)``;
-    ``batch`` is the number of chained episodes each actor rolls out per
-    wave chunk.  The engine is bit-identical to the serial learner at
-    any ``(actors, batch)`` combination (see
-    :func:`repro.core.distributed.learn_distributed`), so records match
-    :func:`run_sweep_cell` byte for byte.
-    """
-    from repro.core.distributed import learn_distributed
-
-    workflow, vms, params, timing, actors, batch = payload
-    result = learn_distributed(
-        workflow, vms, params, seed=seed, n_actors=actors, batch=batch,
-        timing=timing,
-    )
     learning_time = (
         result.simulated_learning_time
         if timing == "simulated"
@@ -226,7 +190,6 @@ def sweep_tasks(
     timing: str = "wall",
     key_prefix: Tuple[Any, ...] = (),
     batch: int = 1,
-    actors: int = 1,
 ) -> List[Task]:
     """Build the cell tasks of one fleet's (α, γ, ε) grid.
 
@@ -242,16 +205,6 @@ def sweep_tasks(
     records, fewer kernel builds and task round-trips.  Custom ``learner_factory`` cells are never packed
     (the factory contract is one learner per cell).  Flatten mixed
     results with :func:`flatten_sweep_values`.
-
-    ``actors > 1`` routes every cell through the distributed
-    actor/learner engine (:func:`run_sweep_cell_distributed`) instead —
-    bit-identical records again, but each cell spends its parallelism
-    *inside* the run.  The flags compose: with ``actors > 1``, ``batch``
-    becomes the number of chained episodes each actor rolls out per
-    speculative wave chunk (instead of the cells packed per task), so
-    ``actors=4, batch=8`` means four actors each speculating eight
-    episodes ahead.  ``actors > 1`` is still mutually exclusive with a
-    custom ``learner_factory``.
     """
     if not alphas or not gammas or not epsilons:
         raise ValidationError("sweep needs non-empty parameter lists")
@@ -259,12 +212,6 @@ def sweep_tasks(
         raise ValidationError(f"timing must be wall/simulated, got {timing!r}")
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
-    if actors < 1:
-        raise ValidationError(f"actors must be >= 1, got {actors}")
-    if actors > 1 and learner_factory is not None:
-        raise ValidationError(
-            "actors > 1 requires the default learner (no learner_factory)"
-        )
     tasks: List[Task] = []
     vms = list(vms)
     # Every default cell builds the same (workflow, fleet, env-model)
@@ -289,7 +236,7 @@ def sweep_tasks(
                 payloads.append(
                     (workflow, vms, params, learner_factory, timing)
                 )
-    if batch > 1 and actors == 1 and learner_factory is None:
+    if batch > 1 and learner_factory is None:
         for i, pack in enumerate(pack_payloads(payloads, batch)):
             tasks.append(
                 Task(
@@ -303,27 +250,15 @@ def sweep_tasks(
         return tasks
     for cell in payloads:
         _wf, _vms, params, _factory, _timing = cell
-        key = key_prefix + (params.alpha, params.gamma, params.epsilon)
-        if actors > 1:
-            tasks.append(
-                Task(
-                    key=key,
-                    fn=run_sweep_cell_distributed,
-                    payload=(workflow, vms, params, timing, actors, batch),
-                    seed=seed,
-                    kernel_fingerprint=fingerprint,
-                )
+        tasks.append(
+            Task(
+                key=key_prefix + (params.alpha, params.gamma, params.epsilon),
+                fn=run_sweep_cell,
+                payload=cell,
+                seed=seed,
+                kernel_fingerprint=fingerprint,
             )
-        else:
-            tasks.append(
-                Task(
-                    key=key,
-                    fn=run_sweep_cell,
-                    payload=cell,
-                    seed=seed,
-                    kernel_fingerprint=fingerprint,
-                )
-            )
+        )
     return tasks
 
 
@@ -343,7 +278,6 @@ def sweep_parameters(
     timing: str = "wall",
     progress: Optional[ProgressFn] = None,
     batch: int = 1,
-    actors: int = 1,
 ) -> List[SweepRecord]:
     """Run a learning run per (α, γ, ε) combination on one fleet.
 
@@ -354,7 +288,7 @@ def sweep_parameters(
     ``workers > 1``.
 
     ``workers`` fans cells out over a process pool (1 = serial, 0 = all
-    cores, None = the ``REPRO_WORKERS`` environment variable); ``batch``
+    usable cores, None = the ``REPRO_WORKERS`` environment variable); ``batch``
     packs that many consecutive cells per task into the batched engine
     (see :func:`sweep_tasks`).  Records are always returned in
     grid order (α outermost, ε innermost) and are identical for every
@@ -373,7 +307,6 @@ def sweep_parameters(
         learner_factory=learner_factory,
         timing=timing,
         batch=batch,
-        actors=actors,
     )
     runner = ParallelRunner(
         workers=workers,

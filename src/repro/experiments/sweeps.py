@@ -104,7 +104,6 @@ def run_paper_sweep(
     timing: str = "wall",
     progress=None,
     batch: int = 8,
-    actors: int = 1,
 ) -> PaperSweep:
     """Execute the Tables II/III sweep.
 
@@ -121,13 +120,6 @@ def run_paper_sweep(
     records — and the rendered Tables II/III, when ``timing`` is
     ``"simulated"`` — are bit-identical for any worker count and batch
     size.
-
-    ``actors`` (default 1) instead spends the parallelism *inside* each
-    cell through the distributed actor/learner engine
-    (:func:`repro.core.distributed.learn_distributed`); still
-    bit-identical, and it composes with ``batch``: each actor then rolls
-    out ``batch`` chained episodes per speculative wave chunk.  Meant
-    for ``workers=1`` (nesting both pools oversubscribes the host).
     """
     wf = workflow if workflow is not None else montage(50, seed=seed)
     sweep = PaperSweep(workflow_name=wf.name, episodes=episodes, grid=tuple(grid))
@@ -147,7 +139,6 @@ def run_paper_sweep(
             timing=timing,
             key_prefix=(vcpus,),
             batch=batch,
-            actors=actors,
         )
         tasks.extend(fleet_tasks)
         fleet_task_counts.append(len(fleet_tasks))

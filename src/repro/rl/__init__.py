@@ -7,8 +7,7 @@ reward function of §III-B, and SARSA / Double Q-learning variants used by
 the ablation benchmarks.
 """
 
-from repro.rl.qtable import QTable, QTableSnapshot
-from repro.rl.replay import ReplayKernel
+from repro.rl.qtable import QTable
 from repro.rl.policy import (
     ActionPolicy,
     EpsilonGreedyPolicy,
@@ -26,8 +25,6 @@ from repro.rl.toy import ChainEnv, CliffWalk, GridWorld, TwoArmBandit
 
 __all__ = [
     "QTable",
-    "QTableSnapshot",
-    "ReplayKernel",
     "ActionPolicy",
     "EpsilonGreedyPolicy",
     "DecayingEpsilonPolicy",

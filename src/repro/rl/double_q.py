@@ -9,9 +9,7 @@ where single-estimator Q-learning over-commits.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Hashable, List, Optional
 
 from repro.rl.policy import ActionPolicy
 from repro.rl.qlearning import QLearningAgent
@@ -97,23 +95,3 @@ class DoubleQAgent(QLearningAgent):
         )
         learn.add(state, action, self.alpha * delta)
         return delta
-
-    def update_batch(
-        self,
-        transitions: Sequence[
-            Tuple[Hashable, Hashable, float, Hashable, List[Hashable], int]
-        ],
-    ) -> np.ndarray:
-        """Double-estimator updates for a transition batch; returns δs.
-
-        Sequential by necessity: each update consumes one coin flip
-        that decides which table the update (and any lazy-init draw)
-        lands in, so cross-transition fusion would reorder the
-        ``doubleq-coin`` and ``qtable-init`` streams and break
-        bit-identity with the serial path.  The argmax/value gathers
-        inside each update are still single numpy calls over the
-        interned dense rows.
-        """
-        return np.array(
-            [self.update(*tr) for tr in transitions], dtype=np.float64
-        )

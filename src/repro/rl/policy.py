@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 import math
-from typing import Hashable, List, Optional
+from typing import Hashable, List
 
 import numpy as np
 
@@ -59,13 +59,6 @@ class EpsilonGreedyPolicy(ActionPolicy):
         probability ε).
     """
 
-    #: Outcome of the most recent ε-coin: ``True`` if the last
-    #: :meth:`choose` explored, ``False`` if it exploited, ``None``
-    #: before the first call.  Read by the decision-trace recorder
-    #: (:class:`repro.sim.trace.TracingScheduler`) so rollout actors can
-    #: log the draw without perturbing the stream.
-    last_explored: Optional[bool] = None
-
     def __init__(self, epsilon: float, epsilon_is_exploration: bool = False) -> None:
         self.epsilon = check_probability("epsilon", epsilon)
         self.epsilon_is_exploration = bool(epsilon_is_exploration)
@@ -79,38 +72,8 @@ class EpsilonGreedyPolicy(ActionPolicy):
         if not actions:
             raise ValidationError("cannot choose from an empty action set")
         if rng.random() < self._exploit_probability():
-            self.last_explored = False
             return qtable.best_action(state, actions, rng)
-        self.last_explored = True
         return actions[int(rng.integers(len(actions)))]
-
-    def choose_batch(
-        self,
-        qtables: List[QTable],
-        state: Hashable,
-        action_batches: List[List[Hashable]],
-        rngs: List[np.random.Generator],
-    ) -> List[Optional[Hashable]]:
-        """ε-greedy selection for B lockstep lanes in one call.
-
-        One decision per lane, in lane order.  The per-lane RNG streams
-        are part of the bit-identity contract — lane b's draws must not
-        depend on B — so the exploration coins cannot be fused into one
-        vectorized draw; what *is* batched is the Q-value read inside
-        each exploitation, which is a single numpy gather over the
-        lane's interned dense row (``QTable.best_action``).  Lanes with
-        an empty action batch yield ``None`` ("do nothing").
-        """
-        if not (len(qtables) == len(action_batches) == len(rngs)):
-            raise ValidationError(
-                "choose_batch needs one qtable, action batch and rng "
-                f"per lane: got {len(qtables)}/{len(action_batches)}/"
-                f"{len(rngs)}"
-            )
-        return [
-            self.choose(qtable, state, actions, rng) if actions else None
-            for qtable, actions, rng in zip(qtables, action_batches, rngs)
-        ]
 
 
 class DecayingEpsilonPolicy(EpsilonGreedyPolicy):

@@ -15,9 +15,7 @@ Set ``discount_power=False`` for the textbook rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Hashable, List, Optional
 
 from repro.rl.environment import DiscreteEnv
 from repro.rl.policy import ActionPolicy, EpsilonGreedyPolicy
@@ -106,66 +104,6 @@ class QLearningAgent:
         )
         self.qtable.add(state, action, self.alpha * delta)
         return delta
-
-    def update_batch(
-        self,
-        transitions: Sequence[
-            Tuple[Hashable, Hashable, float, Hashable, List[Hashable], int]
-        ],
-    ) -> np.ndarray:
-        """Eq.-3 updates for a lockstep transition batch; returns the δs.
-
-        Bit-identical to calling :meth:`update` once per transition in
-        order — that sequential contract is what keeps the per-episode
-        RNG streams (lazy Q-init draws happen in first-touch order)
-        reproducible.  When no transition's write target ``(s, a)`` is
-        read back by a later transition in the same batch, the TD
-        deltas are combined in one fused numpy expression and the
-        writes deferred to a single scatter pass; otherwise the exact
-        sequential loop runs.  Either way each future-value gather is
-        one numpy call over the interned dense row
-        (:meth:`QTable.max_value`).
-        """
-        n = len(transitions)
-        if n == 0:
-            return np.zeros(0, dtype=np.float64)
-        # a later transition reads (next_state, next_action) pairs and
-        # its own (s, a); any overlap with an earlier write forces the
-        # sequential path
-        fusable = type(self) is QLearningAgent
-        if fusable:
-            written: set = set()
-            for state, action, _r, next_state, next_actions, _t in (
-                transitions
-            ):
-                if (state, action) in written or any(
-                    (next_state, a) in written for a in next_actions
-                ):
-                    fusable = False
-                    break
-                written.add((state, action))
-        if not fusable:
-            return np.array(
-                [self.update(*tr) for tr in transitions], dtype=np.float64
-            )
-        futures = np.empty(n, dtype=np.float64)
-        q_sa = np.empty(n, dtype=np.float64)
-        gammas = np.empty(n, dtype=np.float64)
-        rewards = np.empty(n, dtype=np.float64)
-        for i, (state, action, reward, next_state, next_actions, t) in (
-            enumerate(transitions)
-        ):
-            # same per-transition read order as update(): future first,
-            # then Q(s, a) — both may lazy-init, in the same sequence
-            futures[i] = self.qtable.max_value(next_state, next_actions)
-            q_sa[i] = self.qtable.value(state, action)
-            gammas[i] = self.effective_gamma(t)
-            rewards[i] = reward
-        deltas: np.ndarray = rewards + gammas * futures - q_sa
-        new_values = q_sa + self.alpha * deltas
-        for i, (state, action, _r, _ns, _na, _t) in enumerate(transitions):
-            self.qtable.set(state, action, float(new_values[i]))
-        return deltas
 
     # -- training loop -------------------------------------------------------
 

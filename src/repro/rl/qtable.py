@@ -52,7 +52,7 @@ from repro.rl.qshard import DEFAULT_SHARD_ROWS, ShardStore
 from repro.util.rng import RngService
 from repro.util.validate import ValidationError, check_non_negative
 
-__all__ = ["QTable", "QTableSnapshot"]
+__all__ = ["QTable"]
 
 State = Hashable
 Action = Hashable
@@ -76,51 +76,6 @@ _ID_MEMO_LIMIT = 4096
 #: band are order-independent IEEE float64 comparisons, so both code
 #: paths produce bit-identical results.
 _SCALAR_REDUCTION_LIMIT = 32
-
-
-class QTableSnapshot:
-    """Immutable, version-stamped capture of a :class:`QTable`'s state.
-
-    Produced by :meth:`QTable.snapshot` and consumed by
-    :meth:`QTable.restore`.  A snapshot carries *everything* that
-    determines future draws and reads: the backend payload (dense
-    arrays / shard store / sparse dict plus the interning maps) **and**
-    the lazy-init RNG stream's bit-generator state, so a restored table
-    replays the exact same first-touch initialization draws the
-    original would have.  Snapshots are backend-specific — restoring
-    onto a table with a different backend raises.
-
-    The payload copies are made at snapshot time and copied again on
-    restore, so one snapshot can seed any number of tables (the
-    distributed learner ships one per rollout wave) without aliasing.
-
-    Delta snapshots (``QTable.snapshot(since=K)``) carry only the rows
-    touched at or after version ``K`` plus the (small) interning maps;
-    ``base_version`` records ``K`` so :meth:`QTable.restore` can refuse
-    to patch a table that is not exactly at that base.  Full snapshots
-    have ``base_version is None``.
-    """
-
-    __slots__ = (
-        "backend", "version", "init_scale", "rng_state", "payload",
-        "base_version",
-    )
-
-    def __init__(
-        self,
-        backend: str,
-        version: int,
-        init_scale: float,
-        rng_state: Dict[str, Any],
-        payload: Tuple[Any, ...],
-        base_version: Optional[int] = None,
-    ) -> None:
-        self.backend = backend
-        self.version = version
-        self.init_scale = init_scale
-        self.rng_state = rng_state
-        self.payload = payload
-        self.base_version = base_version
 
 
 def _encode_key(key) -> list:
@@ -188,11 +143,6 @@ class QTable:
             )
         self._backend = backend
         self._init_scale = float(init_scale)
-        # monotone mutation-era counter for the distributed learner:
-        # bumped explicitly (bump_version) after each committed episode
-        # and restored alongside content by restore(), so "snapshot
-        # version == table version" certifies byte-identical content
-        self._version = 0
         self._rng: np.random.Generator = RngService(seed).stream("qtable-init")
         if backend == "dict":
             self._values: Dict[Tuple[State, Action], float] = {}
@@ -222,14 +172,6 @@ class QTable:
             self._id_memo: Dict[
                 int, Tuple[Tuple[Action, ...], np.ndarray, List[int], set]
             ] = {}
-            # sid -> version era of the row's last marked write.  The
-            # superset source for delta snapshots: snapshot(since=K)
-            # ships exactly the rows with era >= K.  Every QTable write
-            # path marks; code that writes a row *directly* (the fused
-            # engine, the replay kernels) must call mark_row_dirty —
-            # over-marking is sound (the delta just carries an extra
-            # row whose content already matches), under-marking is not.
-            self._row_era: Dict[int, int] = {}
 
     @property
     def backend(self) -> str:
@@ -365,7 +307,6 @@ class QTable:
                 if self._backend == "shard"
                 else self._q[sid]
             )
-            self._row_era[sid] = self._version
             scale = self._init_scale
             rng = self._rng
             for pos in fresh:
@@ -397,7 +338,6 @@ class QTable:
             qrow[aid] = v
             krow[aid] = True
             self._n_known += 1
-            self._row_era[sid] = self._version
             return v
         if self._known[sid, aid]:
             return float(self._q[sid, aid])
@@ -405,7 +345,6 @@ class QTable:
         self._q[sid, aid] = v
         self._known[sid, aid] = True
         self._n_known += 1
-        self._row_era[sid] = self._version
         return v
 
     def peek(self, state: State, action: Action) -> Optional[float]:
@@ -431,7 +370,6 @@ class QTable:
             return
         sid = self._state_id(state)
         aid = self._action_id(action)
-        self._row_era[sid] = self._version
         if self._backend == "shard":
             krow = self._store.known_row(sid)
             if not krow[aid]:
@@ -451,11 +389,9 @@ class QTable:
             self._values[(state, action)] = new
         elif self._backend == "shard":
             sid = self._state_ids[state]
-            self._row_era[sid] = self._version
             self._store.q_row(sid)[self._action_ids[action]] = new
         else:
             sid = self._state_ids[state]
-            self._row_era[sid] = self._version
             self._q[sid, self._action_ids[action]] = new
         return new
 
@@ -544,66 +480,6 @@ class QTable:
         if ties.size == 1 or rng is None:
             return actions[int(ties[0])]
         return actions[int(ties[int(rng.integers(ties.size))])]
-
-    def gather(self, state: State, actions: Sequence[Action]) -> np.ndarray:
-        """Q(s, a) over an action batch as one numpy gather.
-
-        Lazy-initializes fresh entries first, in action order — the
-        same draw sequence as per-action :meth:`value` calls — then
-        reads the whole batch with a single ``take`` over the interned
-        dense row.  This is the gather primitive of the batched
-        engine's vectorized selection/update kernels.
-        """
-        if self._backend == "dict":
-            return np.array(
-                [self.value(state, a) for a in actions], dtype=np.float64
-            )
-        if not actions:
-            return np.zeros(0, dtype=np.float64)
-        sid = self._state_id(state)
-        _, aids, _id_list, ensured = self._action_slice(actions)
-        if sid not in ensured:
-            self._ensure_known(sid, aids)
-            ensured.add(sid)
-        row = (
-            self._store.q_row(sid)
-            if self._backend == "shard"
-            else self._q[sid]
-        )
-        return row.take(aids)
-
-    def scatter(
-        self, state: State, actions: Sequence[Action], values: np.ndarray
-    ) -> None:
-        """Overwrite Q(s, a) over an action batch in one numpy scatter.
-
-        The batch counterpart of :meth:`set`.  Duplicate actions in the
-        batch resolve to the last written value (numpy fancy-assignment
-        semantics match a sequential loop there).
-        """
-        if len(actions) != len(values):
-            raise ValidationError(
-                f"scatter needs one value per action: "
-                f"{len(actions)} actions, {len(values)} values"
-            )
-        if self._backend == "dict":
-            for a, v in zip(actions, values):
-                self.set(state, a, float(v))
-            return
-        if not actions:
-            return
-        sid = self._state_id(state)
-        _, aids, _id_list, _ensured = self._action_slice(actions)
-        self._row_era[sid] = self._version
-        if self._backend == "shard":
-            qrow = self._store.q_row(sid)
-            krow = self._store.known_row(sid)
-        else:
-            qrow = self._q[sid]
-            krow = self._known[sid]
-        self._n_known += int(np.count_nonzero(~krow[np.unique(aids)]))
-        krow[aids] = True
-        qrow[aids] = values
 
     def items(self) -> List[Tuple[State, Action, float]]:
         """All (state, action, value) triples, deterministically ordered."""
@@ -753,9 +629,6 @@ class QTable:
                 for sid in range(len(table._states))
             )
         )
-        # loaded rows have unknown write history: mark them all at the
-        # current era so delta snapshots never under-report them
-        table._row_era = {sid: 0 for sid in range(len(table._states))}
         return table
 
     def copy(self) -> "QTable":
@@ -781,208 +654,7 @@ class QTable:
                 out._q = self._q.copy()
                 out._known = self._known.copy()
             out._n_known = self._n_known
-            out._row_era = dict(self._row_era)
-        out._version = self._version
         return out
-
-    # -- versioned snapshots (distributed learning) --------------------------
-
-    @property
-    def version(self) -> int:
-        """Monotone mutation-era counter (see :meth:`bump_version`)."""
-        return self._version
-
-    def bump_version(self) -> int:
-        """Advance the version counter; returns the new version.
-
-        The table does not bump itself on writes — per-step increments
-        would make the counter meaningless across the thousands of
-        updates inside one episode.  The owner (the distributed
-        learner) bumps once per committed episode instead, which is the
-        granularity at which snapshots are taken and compared.
-        """
-        self._version += 1
-        return self._version
-
-    def mark_row_dirty(self, sid: int) -> None:
-        """Record that row ``sid`` is (about to be) written directly.
-
-        The fused engine and the replay kernels write Q-rows through
-        raw array references the table never sees; they mark the row
-        here (once per episode is enough — the era only changes when
-        the version does) so delta snapshots stay a superset of the
-        rows that actually changed.
-        """
-        self._row_era[sid] = self._version
-
-    def snapshot(self, since: Optional[int] = None) -> QTableSnapshot:
-        """Capture the table state as a :class:`QTableSnapshot`.
-
-        Includes the interning maps, the dense/shard/dict storage, the
-        lazy-init mask and — crucially — the ``qtable-init`` stream's
-        bit-generator state, so a restored table draws the exact same
-        first-touch initialization values in the exact same order as
-        the original.  (``copy()`` deliberately does *not* carry the
-        stream: it hands out an independent table.  Snapshots exist to
-        clone the table's future, which is what speculative rollout
-        actors need.)
-
-        ``since=K`` returns a *delta* snapshot instead: only the rows
-        whose write era is ``>= K`` (a superset of the rows that
-        changed after version ``K``), gathered into one dense block —
-        for the shard backend this skips copying the untouched shards
-        entirely.  A holder of the table's exact version-``K`` state
-        reaches the full current state by restoring the delta
-        (:meth:`restore` patches the rows in place).  The dict backend
-        has no row structure and falls back to a full snapshot.
-        """
-        payload: Tuple[Any, ...]
-        if since is not None and self._backend != "dict":
-            if since < 0 or since > self._version:
-                raise ValidationError(
-                    f"since must be in [0, {self._version}], got {since}"
-                )
-            n_cols = len(self._actions)
-            rows = sorted(
-                sid for sid, era in self._row_era.items() if era >= since
-            )
-            rows_idx = np.asarray(rows, dtype=np.int64)
-            q_block = np.empty((len(rows), n_cols), dtype=np.float64)
-            known_block = np.empty((len(rows), n_cols), dtype=bool)
-            if self._backend == "shard":
-                for i, sid in enumerate(rows):
-                    q_block[i] = self._store.q_row(sid)[:n_cols]
-                    known_block[i] = self._store.known_row(sid)[:n_cols]
-            else:
-                q_block[:] = self._q[rows_idx, :n_cols]
-                known_block[:] = self._known[rows_idx, :n_cols]
-            return QTableSnapshot(
-                backend=self._backend,
-                version=self._version,
-                init_scale=self._init_scale,
-                rng_state=self._rng.bit_generator.state,
-                payload=(
-                    rows_idx,
-                    q_block,
-                    known_block,
-                    dict(self._state_ids),
-                    list(self._states),
-                    dict(self._action_ids),
-                    list(self._actions),
-                    self._n_known,
-                ),
-                base_version=since,
-            )
-        if self._backend == "dict":
-            payload = (dict(self._values),)
-        elif self._backend == "shard":
-            payload = (
-                self._store.copy(),
-                dict(self._state_ids),
-                list(self._states),
-                dict(self._action_ids),
-                list(self._actions),
-                self._n_known,
-            )
-        else:
-            payload = (
-                self._q.copy(),
-                self._known.copy(),
-                dict(self._state_ids),
-                list(self._states),
-                dict(self._action_ids),
-                list(self._actions),
-                self._n_known,
-            )
-        return QTableSnapshot(
-            backend=self._backend,
-            version=self._version,
-            init_scale=self._init_scale,
-            rng_state=self._rng.bit_generator.state,
-            payload=payload,
-        )
-
-    def restore(self, snap: QTableSnapshot) -> None:
-        """Restore state captured by :meth:`snapshot` (same backend only).
-
-        Restores content, interning maps, init-stream state *and* the
-        stamped version, so rolling back to a snapshot re-enters that
-        mutation era exactly.  The id-keyed action-slice memo is
-        discarded: its ensured-state sets describe the pre-restore
-        table and object ids may alias, so keeping it would be unsound.
-
-        A *delta* snapshot (``snapshot(since=K)``) patches in place
-        instead of replacing storage: the table must currently hold the
-        exact version-``K`` state the delta was computed against
-        (enforced via the version counter), then the delta's rows are
-        scattered over it and the maps/stream/version adopted — landing
-        on a state bit-identical to restoring a full snapshot of the
-        same moment.
-        """
-        if snap.backend != self._backend:
-            raise ValidationError(
-                f"cannot restore a {snap.backend!r} snapshot into a "
-                f"{self._backend!r} table"
-            )
-        if snap.base_version is not None:
-            if self._version != snap.base_version:
-                raise ValidationError(
-                    f"delta snapshot patches version {snap.base_version}, "
-                    f"but this table is at version {self._version}"
-                )
-            (
-                rows_idx, q_block, known_block,
-                sids, states, aids, actions, n_known,
-            ) = snap.payload
-            self._init_scale = snap.init_scale
-            self._state_ids = dict(sids)
-            self._states = list(states)
-            self._action_ids = dict(aids)
-            self._actions = list(actions)
-            n_rows = len(self._states)
-            n_cols = len(self._actions)
-            if self._backend == "shard":
-                self._store.ensure_rows(n_rows)
-                self._store.ensure_cols(n_cols)
-                for i, sid in enumerate(rows_idx):
-                    self._store.q_row(int(sid))[:n_cols] = q_block[i]
-                    self._store.known_row(int(sid))[:n_cols] = known_block[i]
-            else:
-                if (
-                    n_rows > self._q.shape[0]
-                    or n_cols > self._q.shape[1]
-                ):
-                    self._grow(n_rows, n_cols)
-                if rows_idx.size:
-                    self._q[rows_idx, :n_cols] = q_block
-                    self._known[rows_idx, :n_cols] = known_block
-            self._n_known = n_known
-            self._id_memo = {}
-            era = snap.version
-            for sid in rows_idx:
-                self._row_era[int(sid)] = era
-            self._rng.bit_generator.state = snap.rng_state
-            self._version = snap.version
-            return
-        self._init_scale = snap.init_scale
-        if self._backend == "dict":
-            self._values = dict(snap.payload[0])
-        else:
-            if self._backend == "shard":
-                store, sids, states, aids, actions, n_known = snap.payload
-                self._store = store.copy()
-            else:
-                q, known, sids, states, aids, actions, n_known = snap.payload
-                self._q = q.copy()
-                self._known = known.copy()
-            self._state_ids = dict(sids)
-            self._states = list(states)
-            self._action_ids = dict(aids)
-            self._actions = list(actions)
-            self._n_known = n_known
-            self._id_memo = {}
-        self._rng.bit_generator.state = snap.rng_state
-        self._version = snap.version
 
     # -- pickling ------------------------------------------------------------
 

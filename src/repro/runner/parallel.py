@@ -36,7 +36,7 @@ import os
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -60,6 +60,7 @@ __all__ = [
     "canonical_key",
     "task_seed",
     "pack_payloads",
+    "host_cores",
     "resolve_workers",
     "active_kernel_fingerprint",
     "shared_kernel",
@@ -108,7 +109,7 @@ def pack_payloads(items: Sequence[Any], size: int) -> List[Tuple[Any, ...]]:
     """Chunk per-item payloads into batch-task tuples of at most ``size``.
 
     The batched engine (:func:`repro.core.batch.learn_batch`) runs many
-    lanes per task, so campaigns pack several per-item payloads into one
+    learning runs per task, so campaigns pack several per-item payloads into one
     task payload.  Chunks are consecutive, so flattening the per-task
     result lists restores the original item order — which is what keeps
     packed campaigns bit-identical to unpacked ones (each item still
@@ -120,19 +121,31 @@ def pack_payloads(items: Sequence[Any], size: int) -> List[Tuple[Any, ...]]:
     return [tuple(items[i : i + size]) for i in range(0, len(items), size)]
 
 
+def host_cores() -> int:
+    """Usable CPU cores (affinity-aware where the platform supports it)."""
+    getaff = getattr(os, "sched_getaffinity", None)
+    if getaff is not None:
+        try:
+            return max(1, len(getaff(0)))
+        except OSError:  # pragma: no cover - platform quirk
+            pass
+    return max(1, os.cpu_count() or 1)
+
+
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalize a worker-count request.
 
     ``None`` reads the ``REPRO_WORKERS`` environment variable (defaulting
     to 1 — serial — so library behaviour never changes silently); ``0``
-    or a negative count means "all cores".
+    or a negative count means "all usable cores" (:func:`host_cores`,
+    which honours the CPU affinity mask).
     """
     if workers is None:
         raw = os.environ.get("REPRO_WORKERS", "").strip()
         workers = int(raw) if raw else 1
     workers = int(workers)
     if workers <= 0:
-        workers = os.cpu_count() or 1
+        workers = host_cores()
     return workers
 
 
@@ -318,8 +331,9 @@ class ParallelRunner:
     ----------
     workers:
         Process count.  ``1`` = serial in-process execution (the
-        debugging/reference mode); ``0``/negative = all cores; ``None``
-        = the ``REPRO_WORKERS`` environment variable, defaulting to 1.
+        debugging/reference mode); ``0``/negative = all usable cores;
+        ``None`` = the ``REPRO_WORKERS`` environment variable, defaulting
+        to 1.
     run_id:
         Label namespacing derived task seeds — two campaigns with the
         same root seed but different run ids get independent seeds.
@@ -337,17 +351,6 @@ class ParallelRunner:
         available (fast, shares the loaded library image) else
         ``spawn``.  Override with the ``REPRO_MP_CONTEXT`` environment
         variable.
-    persistent:
-        Keep one process pool alive across :meth:`run`/:meth:`imap`
-        calls instead of building and tearing one down per call.  The
-        workers — and their module-global kernel caches — survive
-        between batches, which is what lets callers that dispatch many
-        small waves (the distributed learner) pay the kernel build once
-        per worker for the whole campaign.  With ``persistent=True``
-        even ``workers=1`` runs through a real one-process pool (the
-        point is the long-lived worker, not the parallelism).  Use as a
-        context manager, or call :meth:`close` when done; after
-        ``close()`` the next call lazily starts a fresh pool.
 
     Examples
     --------
@@ -368,7 +371,6 @@ class ParallelRunner:
         chunk_size: int = 1,
         progress: Optional[ProgressFn] = None,
         mp_context: Optional[str] = None,
-        persistent: bool = False,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.run_id = str(run_id)
@@ -380,8 +382,6 @@ class ParallelRunner:
         if mp_context is None:
             mp_context = os.environ.get("REPRO_MP_CONTEXT", "").strip() or None
         self._mp_context = mp_context
-        self.persistent = bool(persistent)
-        self._executor: Optional[ProcessPoolExecutor] = None
 
     # -- seeding -------------------------------------------------------------
 
@@ -434,9 +434,7 @@ class ParallelRunner:
         prepared = self._prepare(list(tasks))
         if not prepared:
             return
-        # persistent mode always goes through a real pool, even at
-        # workers=1: the long-lived worker process is the feature
-        if self.workers == 1 and not self.persistent:
+        if self.workers == 1:
             yield from self._imap_serial(prepared)
         else:
             yield from self._imap_pool(prepared)
@@ -480,62 +478,35 @@ class ParallelRunner:
             max_workers=self.workers, mp_context=mp.get_context(name)
         )
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        """The persistent pool, started lazily (and after any close())."""
-        if self._executor is None:
-            self._executor = self._make_executor()
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the persistent pool down (idempotent; lazily restartable)."""
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def __enter__(self) -> "ParallelRunner":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
     def _imap_pool(self, prepared) -> Iterator[TaskResult]:
         total = len(prepared)
         chunks = [
             prepared[i : i + self.chunk_size]
             for i in range(0, total, self.chunk_size)
         ]
-        if self.persistent:
-            yield from self._drain_pool(self._ensure_executor(), chunks, total)
-        else:
-            with self._make_executor() as pool:
-                yield from self._drain_pool(pool, chunks, total)
-
-    def _drain_pool(
-        self, pool: ProcessPoolExecutor, chunks, total: int
-    ) -> Iterator[TaskResult]:
-        pending = {pool.submit(_execute_chunk, chunk) for chunk in chunks}
-        buffered: Dict[int, TaskResult] = {}
-        next_index = 0
-        done_count = 0
-        while pending:
-            finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                for result in future.result():
-                    done_count += 1
-                    if self.progress is not None:
-                        self.progress(done_count, total, result)
-                    buffered[result.index] = result
-            # stream everything contiguous from the front
-            while next_index in buffered:
+        with self._make_executor() as pool:
+            pending = {pool.submit(_execute_chunk, chunk) for chunk in chunks}
+            buffered: Dict[int, TaskResult] = {}
+            next_index = 0
+            done_count = 0
+            while pending:
+                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in finished:
+                    for result in future.result():
+                        done_count += 1
+                        if self.progress is not None:
+                            self.progress(done_count, total, result)
+                        buffered[result.index] = result
+                # stream everything contiguous from the front
+                while next_index in buffered:
+                    yield buffered.pop(next_index)
+                    next_index += 1
+            while next_index in buffered:  # pragma: no cover - defensive
                 yield buffered.pop(next_index)
                 next_index += 1
-        while next_index in buffered:  # pragma: no cover - defensive
-            yield buffered.pop(next_index)
-            next_index += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        persistent = ", persistent=True" if self.persistent else ""
         return (
             f"ParallelRunner(workers={self.workers}, run_id={self.run_id!r}, "
-            f"seed={self.seed}, chunk_size={self.chunk_size}{persistent})"
+            f"seed={self.seed}, chunk_size={self.chunk_size})"
         )

@@ -47,15 +47,7 @@ from repro.sim.kernel import (
     SimulationError,
 )
 from repro.sim.simulator import SimulationContext, WorkflowSimulator
-from repro.sim.trace import (
-    DecisionStep,
-    EpisodeTrace,
-    ReplayContext,
-    ReplayPending,
-    TraceBuilder,
-    TracingScheduler,
-    gantt_text,
-)
+from repro.sim.trace import gantt_text
 from repro.sim.validate import validate_result
 
 __all__ = [
@@ -101,12 +93,6 @@ __all__ = [
     "SimulationError",
     "SimulationContext",
     "WorkflowSimulator",
-    "DecisionStep",
-    "EpisodeTrace",
-    "ReplayContext",
-    "ReplayPending",
-    "TraceBuilder",
-    "TracingScheduler",
     "gantt_text",
     "validate_result",
 ]

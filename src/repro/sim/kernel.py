@@ -68,7 +68,6 @@ from repro.util.rng import RngService
 from repro.util.validate import ValidationError, check_positive
 
 __all__ = [
-    "BatchEpisodeState",
     "EpisodeKernel",
     "EpisodeState",
     "PendingExecution",
@@ -85,7 +84,7 @@ _TERMINAL_STATES = ("successfully finished", "finished with failure")
 #: across every run of a kernel group — B exploring runs multiply
 #: the live set, and FIFO eviction churns tuple identities, which in
 #: turn misses the Q-table's id()-keyed action-slice memo.  Sizing the
-#: interner well above the multi-lane working set keeps both caches
+#: interner well above the multi-run working set keeps both caches
 #: hot (each entry is one small tuple of int pairs, so worst-case
 #: memory stays in the tens of megabytes).
 _PAIRS_INTERN_LIMIT = 65536
@@ -190,9 +189,9 @@ class EpisodeState:
             Tuple[Tuple[int, int], ...],
         ] = {}
         # busy-bitmask -> capacity-idle tuple memo (bit i set = vms[i]
-        # full).  The batched engine's fused loop maintains the mask
-        # incrementally and swaps idle tuples by lookup instead of
-        # rebuilding them; at most 2^len(vms) entries, content-keyed,
+        # full).  The fused lane stepper (repro.core.lane) maintains
+        # the mask incrementally and swaps idle tuples by lookup instead
+        # of rebuilding them; at most 2^len(vms) entries, content-keyed,
         # so it also survives scrub().
         self._idle_by_mask: Dict[int, Tuple[Vm, ...]] = {}
         # RNG streams, re-derived from the per-episode seed in reset()
@@ -1043,95 +1042,6 @@ class EpisodeKernel:
         state.queue.schedule(
             state.now + window.downtime, EventType.MIGRATION_END, vm.id
         )
-
-
-class BatchEpisodeState:
-    """Batch view: B episode lanes over one kernel.
-
-    The kernel still owns exactly **one** :class:`EpisodeState` (the
-    single-tenancy invariant) — lanes take turns advancing it, one
-    whole episode per turn.  This view holds the per-lane
-    ``(B,)``-shaped summaries the distributed engine's wave chunks
-    (:mod:`repro.core.distributed`) advance and read: episode counts,
-    decision steps, makespans, terminal simulated time, terminal
-    ready/idle set sizes, and the size of the shared interned
-    action-pair pool.  All cross-lane reads are vectorized numpy ops —
-    per-lane Python loops over these batch axes inside ``repro.sim`` /
-    ``repro.rl`` are flagged by reprolint rule RL014.
-    """
-
-    def __init__(self, kernel: "EpisodeKernel", batch: int) -> None:
-        if batch < 1:
-            raise ValidationError("batch must be >= 1")
-        self.kernel = kernel
-        self.batch = int(batch)
-        #: episodes completed per lane
-        self.episodes = np.zeros(batch, dtype=np.int64)
-        #: decision steps of each lane's last episode
-        self.steps = np.zeros(batch, dtype=np.int64)
-        #: makespan of each lane's last episode
-        self.makespan = np.zeros(batch, dtype=np.float64)
-        #: terminal simulated time of each lane's last episode
-        self.now = np.zeros(batch, dtype=np.float64)
-        #: terminal ready-set size (>0 only for failed episodes)
-        self.ready = np.zeros(batch, dtype=np.int64)
-        #: idle-set size at the last idle rebuild of each lane's episode
-        self.idle = np.zeros(batch, dtype=np.int64)
-        #: interned (ready, idle) -> action-pair tuples in the shared
-        #: kernel pool after each lane's turn (the pool is shared, so
-        #: this is non-decreasing across the lanes of one chunk)
-        self.pairs = np.zeros(batch, dtype=np.int64)
-
-    def reset(self) -> None:
-        """Zero every per-lane summary in place: O(batch), no reallocs.
-
-        Makes the view reusable across waves (the distributed pipeline
-        runs one chunk of chained episodes per wave through a single
-        persistent view) the same way PR 3's ``EpisodeState.reset``
-        made the scalar state reusable across episodes — the arrays
-        keep their identity, so holders of the view never go stale.
-        """
-        self.episodes.fill(0)
-        self.steps.fill(0)
-        self.makespan.fill(0.0)
-        self.now.fill(0.0)
-        self.ready.fill(0)
-        self.idle.fill(0)
-        self.pairs.fill(0)
-
-    def snapshot(self, lane: int, makespan: float, steps: int) -> None:
-        """Record lane ``lane``'s just-finished episode off the kernel.
-
-        Called by the engine right after the lane's episode terminates,
-        while the kernel's episode state still holds that lane's
-        terminal configuration.
-        """
-        state = self.kernel.state
-        self.episodes[lane] += 1
-        self.steps[lane] = int(steps)
-        self.makespan[lane] = float(makespan)
-        self.now[lane] = state.now
-        self.ready[lane] = len(state._ready_ids)
-        self.idle[lane] = len(state._idle_cache)
-        self.pairs[lane] = len(state._pairs_interned)
-
-    def remaining(self, targets: np.ndarray) -> np.ndarray:
-        """(B,) episodes still owed per lane, clipped at zero."""
-        return np.maximum(targets - self.episodes, 0)
-
-    def active(self, targets: np.ndarray) -> np.ndarray:
-        """(B,) mask of lanes with episodes left to run."""
-        result: np.ndarray = self.episodes < targets
-        return result
-
-    def summary(self) -> Dict[str, float]:
-        """Vectorized aggregates for progress logs."""
-        return {
-            "episodes": float(self.episodes.sum()),
-            "mean_makespan": float(self.makespan.mean()),
-            "max_now": float(self.now.max()),
-            "pairs_interned": float(self.pairs.max()),
-        }
 
 
 # -- kernel fingerprinting (worker-side kernel reuse) ---------------------

@@ -1,417 +1,18 @@
-"""Execution traces: decision-trace capture and text Gantt rendering.
+"""Execution traces: text Gantt rendering.
 
-Two kinds of trace live here:
-
-- **Decision traces** — the per-step record stream the distributed
-  learner's rollout actors emit (`docs/performance.md`, "Distributed
-  learning").  :class:`EpisodeTrace` stores an episode's decisions
-  **columnar**: the distinct interned action spaces go into a small
-  pool, and every per-step quantity (pool indexes, chosen action,
-  ε-draw outcome, observed ``(te, tf)``, reward, Q-write, table
-  version) is one parallel numpy array — so shipping a trace through
-  the process pool serializes a handful of buffers instead of
-  thousands of per-step objects.  :class:`TraceBuilder` is the
-  appender the fused rollout loop feeds one decision at a time;
-  :class:`DecisionStep` remains as the per-step *view* the generic
-  replay path and tests consume.  :class:`TracingScheduler` records
-  steps around any :class:`~repro.schedulers.base.OnlineScheduler`
-  without perturbing a single RNG draw, and :class:`ReplayContext` /
-  :class:`ReplayPending` are the duck-typed stand-ins the ordered
-  replay learner feeds back into a real scheduler's hooks.
-
-- **Gantt rendering** — ``gantt_text`` turns a
-  :class:`~repro.sim.metrics.SimulationResult` into an ASCII Gantt
-  chart, one row per VM, which is how the examples visualize where
-  HEFT and ReASSIgN place work without any plotting dependency.
+``gantt_text`` turns a :class:`~repro.sim.metrics.SimulationResult`
+into an ASCII Gantt chart, one row per VM, which is how the examples
+visualize where HEFT and ReASSIgN place work without any plotting
+dependency.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
-
-import numpy as np
+from typing import Dict, List
 
 from repro.sim.metrics import ActivationRecord, SimulationResult
 
-__all__ = [
-    "DecisionStep",
-    "EpisodeTrace",
-    "ReplayContext",
-    "ReplayPending",
-    "TraceBuilder",
-    "TracingScheduler",
-    "gantt_text",
-]
-
-#: One ``(activation_id, vm_id)`` schedule action.
-Action = Tuple[int, int]
-
-
-@dataclass
-class DecisionStep:
-    """One traced scheduling decision (a per-step *view*).
-
-    ``pairs``/``next_pairs`` are the interned ready × idle action
-    tuples at selection time and after the dispatch; ``n_finished`` is
-    the progress counter behind the (possibly bucketed) state label —
-    together they let a replay reconstruct the exact arguments every
-    scheduler hook saw.  ``explored`` is the actor's ε-draw outcome
-    (``None`` when the policy does not expose one), ``reward`` /
-    ``q_value`` the actor-side reward and written Q-value — purely
-    informational on stale bases, authoritative only when the base
-    snapshot version matches the true table.  ``table_version`` stamps
-    the Q-table version the actor consulted.
-
-    Traces no longer *store* these objects — :class:`EpisodeTrace`
-    keeps parallel columns and materializes ``DecisionStep`` views on
-    demand for the generic replay path and for tests.
-    """
-
-    __slots__ = (
-        "pairs", "action", "explored", "te", "tf", "next_pairs",
-        "n_finished", "reward", "q_value", "table_version",
-    )
-
-    pairs: Tuple[Action, ...]
-    action: Action
-    explored: Optional[bool]
-    te: float
-    tf: float
-    next_pairs: Tuple[Action, ...]
-    n_finished: int
-    reward: float
-    q_value: Optional[float]
-    table_version: int
-
-
-class TraceBuilder:
-    """Columnar appender for one episode's decision stream.
-
-    The fused rollout loop calls :meth:`append` once per decision; the
-    distinct (interned, identity-stable) action-pair tuples are pooled
-    by object id and every per-step quantity lands in a plain Python
-    list, converted to one numpy array per column when the finished
-    builder is handed to :class:`EpisodeTrace`.  ``act_pos`` is the
-    chosen action's position inside its ``pairs`` tuple (``-1`` when
-    unknown, e.g. steps recorded by :class:`TracingScheduler`); the
-    vectorized replay validator uses it to gather traced selections
-    without rebuilding per-step tuples.
-    """
-
-    __slots__ = (
-        "pool", "_pool_memo", "pairs_idx", "next_idx", "act_pos",
-        "act_a", "act_v", "explored", "te", "tf", "n_finished",
-        "reward", "q_value", "table_version",
-    )
-
-    def __init__(self) -> None:
-        self.pool: List[Tuple[Action, ...]] = []
-        self._pool_memo: Dict[int, int] = {}
-        self.pairs_idx: List[int] = []
-        self.next_idx: List[int] = []
-        self.act_pos: List[int] = []
-        self.act_a: List[int] = []
-        self.act_v: List[int] = []
-        self.explored: List[int] = []
-        self.te: List[float] = []
-        self.tf: List[float] = []
-        self.n_finished: List[int] = []
-        self.reward: List[float] = []
-        self.q_value: List[float] = []
-        self.table_version: List[int] = []
-
-    def intern(self, pairs: Tuple[Action, ...]) -> int:
-        """Pool index of ``pairs`` (id-keyed; the pool keeps it alive)."""
-        memo = self._pool_memo
-        idx = memo.get(id(pairs))
-        if idx is None:
-            idx = len(self.pool)
-            self.pool.append(pairs)
-            memo[id(pairs)] = idx
-        return idx
-
-    def append(
-        self,
-        pairs: Tuple[Action, ...],
-        action: Action,
-        act_pos: int,
-        explored: Optional[bool],
-        te: float,
-        tf: float,
-        next_pairs: Tuple[Action, ...],
-        n_finished: int,
-        reward: float,
-        q_value: Optional[float],
-        table_version: int,
-    ) -> None:
-        self.pairs_idx.append(self.intern(pairs))
-        self.next_idx.append(self.intern(next_pairs))
-        self.act_pos.append(act_pos)
-        self.act_a.append(action[0])
-        self.act_v.append(action[1])
-        self.explored.append(
-            -1 if explored is None else (1 if explored else 0)
-        )
-        self.te.append(te)
-        self.tf.append(tf)
-        self.n_finished.append(n_finished)
-        self.reward.append(reward)
-        self.q_value.append(math.nan if q_value is None else q_value)
-        self.table_version.append(table_version)
-
-
-class EpisodeTrace:
-    """One rollout actor's episode: columnar decisions plus outcome.
-
-    The decision stream is stored as parallel numpy arrays over a small
-    pool of distinct action-pair tuples (see :class:`TraceBuilder`), so
-    shipping a trace through the process pool serializes one buffer per
-    column instead of one object per step.  ``base_version`` is the
-    Q-table version of the snapshot the actor started from; the learner
-    compares it against the true table's version at consume time to
-    decide between direct application and validated replay.
-    ``post_state`` optionally carries the actor's complete post-episode
-    learner state (shipped only for episodes whose base is guaranteed
-    exact).  ``assignment`` carries the completion-ordered
-    ``{activation_id: vm_id}`` map for episodes recorded without full
-    :class:`~repro.sim.metrics.ActivationRecord` lists (the lite mode —
-    only the run's final episode needs records, for plan extraction).
-    """
-
-    __slots__ = (
-        "episode", "seed", "actor", "base_version", "makespan",
-        "final_state", "records", "assignment", "steps_count",
-        "reward_sum", "final_reward", "post_state", "pool", "pairs_idx",
-        "next_idx", "act_pos", "act_a", "act_v", "explored", "te", "tf",
-        "n_finished", "reward", "q_value", "table_version",
-        "_steps_cache",
-    )
-
-    def __init__(
-        self,
-        episode: int,
-        seed: int,
-        actor: int,
-        base_version: int,
-        steps: Union[TraceBuilder, Sequence[DecisionStep]],
-        makespan: float,
-        final_state: str,
-        records: Optional[List[ActivationRecord]] = None,
-        assignment: Optional[Dict[int, int]] = None,
-        steps_count: int = 0,
-        reward_sum: float = 0.0,
-        final_reward: float = 0.0,
-        post_state: Optional[Any] = None,
-    ) -> None:
-        self.episode = episode
-        self.seed = seed
-        self.actor = actor
-        self.base_version = base_version
-        self.makespan = makespan
-        self.final_state = final_state
-        self.records: List[ActivationRecord] = (
-            [] if records is None else records
-        )
-        self.assignment = assignment
-        self.steps_count = steps_count
-        self.reward_sum = reward_sum
-        self.final_reward = final_reward
-        self.post_state = post_state
-        self._steps_cache: Optional[List[DecisionStep]] = None
-        if not isinstance(steps, TraceBuilder):
-            builder = TraceBuilder()
-            for s in steps:
-                builder.append(
-                    s.pairs, s.action, -1, s.explored, s.te, s.tf,
-                    s.next_pairs, s.n_finished, s.reward, s.q_value,
-                    s.table_version,
-                )
-            steps = builder
-        self.pool = steps.pool
-        self.pairs_idx = np.asarray(steps.pairs_idx, dtype=np.int32)
-        self.next_idx = np.asarray(steps.next_idx, dtype=np.int32)
-        self.act_pos = np.asarray(steps.act_pos, dtype=np.int32)
-        self.act_a = np.asarray(steps.act_a, dtype=np.int64)
-        self.act_v = np.asarray(steps.act_v, dtype=np.int64)
-        self.explored = np.asarray(steps.explored, dtype=np.int8)
-        self.te = np.asarray(steps.te, dtype=np.float64)
-        self.tf = np.asarray(steps.tf, dtype=np.float64)
-        self.n_finished = np.asarray(steps.n_finished, dtype=np.int64)
-        self.reward = np.asarray(steps.reward, dtype=np.float64)
-        self.q_value = np.asarray(steps.q_value, dtype=np.float64)
-        self.table_version = np.asarray(
-            steps.table_version, dtype=np.int64
-        )
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.pairs_idx.shape[0])
-
-    @property
-    def steps(self) -> List[DecisionStep]:
-        """Materialized per-step views (generic replay path, tests)."""
-        cached = self._steps_cache
-        if cached is not None:
-            return cached
-        pool = self.pool
-        out: List[DecisionStep] = []
-        for i in range(self.n_steps):
-            explored_code = int(self.explored[i])
-            q_raw = float(self.q_value[i])
-            out.append(
-                DecisionStep(
-                    pairs=pool[int(self.pairs_idx[i])],
-                    action=(int(self.act_a[i]), int(self.act_v[i])),
-                    explored=(
-                        None if explored_code < 0 else bool(explored_code)
-                    ),
-                    te=float(self.te[i]),
-                    tf=float(self.tf[i]),
-                    next_pairs=pool[int(self.next_idx[i])],
-                    n_finished=int(self.n_finished[i]),
-                    reward=float(self.reward[i]),
-                    q_value=None if math.isnan(q_raw) else q_raw,
-                    table_version=int(self.table_version[i]),
-                )
-            )
-        self._steps_cache = out
-        return out
-
-    def __getstate__(self) -> Dict[str, Any]:
-        # drop the lazily materialized view list from pool transport
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name != "_steps_cache"
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._steps_cache = None
-
-
-class ReplayContext:
-    """Duck-typed :class:`~repro.sim.kernel.SimulationContext` stand-in.
-
-    Carries exactly the fields ``ReassignScheduler`` reads in
-    ``select``/``on_dispatched``: the interned action pairs (also used
-    as the availability indicator), the workflow (for bucketed state
-    labels) and the progress counter.  Feeding a traced episode back
-    through these is what lets the ordered replay learner drive the
-    *true* scheduler without a simulator.
-    """
-
-    __slots__ = (
-        "action_pairs", "ready_activations", "idle_vms", "workflow",
-        "n_finished",
-    )
-
-    def __init__(
-        self,
-        pairs: Tuple[Action, ...],
-        workflow: Any = None,
-        n_finished: int = 0,
-    ) -> None:
-        self.action_pairs = pairs
-        # availability flags: non-empty iff pairs is (the scheduler only
-        # checks truthiness, never the contents)
-        self.ready_activations = pairs
-        self.idle_vms = pairs
-        self.workflow = workflow
-        self.n_finished = n_finished
-
-
-class ReplayPending:
-    """Duck-typed :class:`~repro.sim.kernel.PendingExecution` stand-in.
-
-    Only the four fields the reward step reads.
-    """
-
-    __slots__ = ("activation_id", "vm_id", "planned_execution_time",
-                 "queue_time")
-
-    def __init__(self, activation_id: int, vm_id: int, te: float,
-                 tf: float) -> None:
-        self.activation_id = activation_id
-        self.vm_id = vm_id
-        self.planned_execution_time = te
-        self.queue_time = tf
-
-
-class TracingScheduler:
-    """Record a :class:`DecisionStep` stream around any online scheduler.
-
-    Implements the :class:`~repro.schedulers.base.OnlineScheduler` hook
-    protocol structurally (no inheritance — the simulation kernel duck
-    types its scheduler, and importing the base class here would cycle
-    through ``repro.sim``).  Pure observation: every hook forwards to
-    the wrapped scheduler with unchanged arguments, so the inner
-    scheduler's draws, updates and results are bit-identical to an
-    untraced run.  After each episode
-    (``on_simulation_end``), the completed step list is available as
-    ``self.steps``; :attr:`last_explored` is read from the inner
-    policy when it exposes the ε-coin outcome
-    (:class:`~repro.rl.policy.EpsilonGreedyPolicy`).
-    """
-
-    def __init__(self, inner: Any) -> None:
-        self.inner = inner
-        self.steps: List[DecisionStep] = []
-        self._open: Optional[List[Any]] = None
-
-    def on_simulation_start(self, ctx: Any) -> None:
-        self.steps = []
-        self._open = None
-        self.inner.on_simulation_start(ctx)
-
-    def select(self, ctx: Any) -> Optional[Hashable]:
-        pairs = ctx.action_pairs
-        n_finished = ctx.n_finished
-        before = getattr(self.inner, "_reward_sum", 0.0)
-        action = self.inner.select(ctx)
-        if action is None:
-            return None
-        explored = getattr(
-            getattr(self.inner, "policy", None), "last_explored", None
-        )
-        version = 0
-        table = getattr(self.inner, "qtable", None)
-        if table is not None:
-            version = getattr(table, "version", 0)
-        # te/tf/next_pairs/reward are filled in at on_dispatched
-        self._open = [pairs, action, explored, n_finished, before, version]
-        return action
-
-    def on_dispatched(self, ctx: Any, pending: Any) -> None:
-        open_step = self._open
-        self.inner.on_dispatched(ctx, pending)
-        if open_step is not None:
-            pairs, action, explored, n_finished, before, version = open_step
-            after = getattr(self.inner, "_reward_sum", 0.0)
-            self.steps.append(
-                DecisionStep(
-                    pairs=pairs,
-                    action=action,
-                    explored=explored,
-                    te=pending.planned_execution_time,
-                    tf=pending.queue_time,
-                    next_pairs=ctx.action_pairs,
-                    n_finished=n_finished,
-                    reward=after - before,
-                    q_value=None,
-                    table_version=version,
-                )
-            )
-            self._open = None
-
-    def on_activation_finished(self, ctx: Any, record: Any) -> None:
-        self.inner.on_activation_finished(ctx, record)
-
-    def on_simulation_end(self, ctx: Any, result: Any) -> None:
-        self.inner.on_simulation_end(ctx, result)
+__all__ = ["gantt_text"]
 
 
 def _label_char(activation_id: int) -> str:

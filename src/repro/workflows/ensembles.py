@@ -163,33 +163,6 @@ def _learn_member_batch(payload, seed: int) -> List[EnsembleMemberResult]:
     ]
 
 
-def _learn_member_distributed(payload, seed: int) -> EnsembleMemberResult:
-    """Learn one member through the distributed actor/learner engine.
-
-    Bit-identical to :func:`_learn_member` at any ``(actors, batch)``
-    combination (see :func:`repro.core.distributed.learn_distributed`);
-    the parallelism lives inside the run, so campaigns using it stay at
-    ``workers=1``.
-    """
-    from repro.core.distributed import learn_distributed
-    from repro.core.reassign import ReassignParams
-    from repro.experiments.environments import fleet_for
-
-    member, n_activations, vcpus, episodes, actors, batch = payload
-    wf = montage(n_activations, seed=seed)
-    params = ReassignParams(alpha=0.5, gamma=1.0, epsilon=0.1, episodes=episodes)
-    result = learn_distributed(
-        wf, fleet_for(vcpus), params, seed=seed, n_actors=actors, batch=batch
-    )
-    return EnsembleMemberResult(
-        member=member,
-        workflow_name=wf.name,
-        seed=seed,
-        simulated_makespan=result.simulated_makespan,
-        plan_json=result.plan.to_json(),
-    )
-
-
 def run_ensemble_campaign(
     n_instances: int,
     *,
@@ -200,7 +173,6 @@ def run_ensemble_campaign(
     workers: Optional[int] = 1,
     progress=None,
     batch: int = 8,
-    actors: int = 1,
 ) -> List[EnsembleMemberResult]:
     """Learn an independent ReASSIgN plan for each ensemble member.
 
@@ -216,17 +188,9 @@ def run_ensemble_campaign(
     derived per-member seeds ride inside the packed payloads, so every
     batch size produces byte-identical member results.  Pass ``batch=1``
     for the historical one-member-per-task path.
-
-    ``actors > 1`` learns each member through the distributed
-    actor/learner engine instead (bit-identical results, meant for
-    ``workers=1``); ``batch`` then composes with it as the number of
-    chained episodes each actor speculates per wave chunk rather than
-    the number of members packed per task.
     """
     if n_instances < 1:
         raise ValidationError("n_instances must be >= 1")
-    if actors < 1:
-        raise ValidationError(f"actors must be >= 1, got {actors}")
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
     runner = ParallelRunner(
@@ -235,16 +199,6 @@ def run_ensemble_campaign(
         seed=seed,
         progress=progress,
     )
-    if actors > 1:
-        tasks = [
-            Task(
-                key=("member", k),
-                fn=_learn_member_distributed,
-                payload=(k, n_activations, vcpus, episodes, actors, batch),
-            )
-            for k in range(n_instances)
-        ]
-        return [r.value for r in runner.run(tasks)]
     if batch > 1:
         members = [
             (k, n_activations, vcpus, episodes,

@@ -198,8 +198,8 @@ def test_module_of(path, module):
 
 
 def test_rule_range_spans_all_rules():
-    assert rule_range() == "RL001-RL015"
-    assert len(ALL_RULE_CODES) == 15
+    assert rule_range() == "RL001-RL013"
+    assert len(ALL_RULE_CODES) == 13
 
 
 def test_rule_catalog_kinds():

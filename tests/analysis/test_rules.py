@@ -29,8 +29,6 @@ CASES = {
     "RL005": ("src/repro/sim/fixture.py", 3),
     "RL006": ("src/repro/workflows/fixture.py", 3),
     "RL007": ("src/repro/schedulers/fixture.py", 2),
-    "RL014": ("src/repro/sim/fixture.py", 5),
-    "RL015": ("src/repro/rl/fixture.py", 6),
 }
 
 

@@ -6,9 +6,9 @@ the learner's own ``ReassignScheduler`` for every ``episode:{i}`` seed,
 then the paper's final-plan rule (the final episode's realized
 schedule, or a greedy replay when that episode failed).  It shares no
 code with the fused lane stepper (``repro.core.lane``) that
-``ReassignLearner.learn()``, ``learn_batch`` and ``learn_distributed``
-run, so comparing against it checks two independently written engines
-against each other rather than the stepper against itself.
+``ReassignLearner.learn()`` and ``learn_batch`` run, so comparing
+against it checks two independently written engines against each
+other rather than the stepper against itself.
 
 ``scheduler_state(scheduler)`` is everything a learning run leaves on
 its scheduler that later calls read: the Q-table, the reward model's

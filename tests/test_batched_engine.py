@@ -1,10 +1,10 @@
 """Batched learning: bit-identical to the object-path decision loop.
 
-``repro.core.batch.learn_batch`` runs B learning lanes one after another
+``repro.core.batch.learn_batch`` runs B learning runs one after another
 over one shared simulation kernel — pure performance work, so the
 contract is byte-equality against the object-path reference
 (``tests/reference_learner.py``), which shares no code with the fused
-stepper the lanes run:
+stepper the runs take:
 
 - a Hypothesis property learns random layered DAGs batched and serial
   and demands identical ``LearningResult.to_json()``;
@@ -12,16 +12,12 @@ stepper the lanes run:
   the shard backend, ineligible-lane fallbacks (SARSA / Double-Q /
   bucketed states) mixed into one batch, and the sweep fingerprint
   across worker counts and batch sizes;
-- the vectorized RL primitives (``gather``/``scatter``,
-  ``choose_batch``, ``update_batch``) are each pinned against their
-  scalar counterparts;
 - ``adopt_kernel``'s safety rails reject double adoption and
   mismatched kernel configurations.
 """
 
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -30,10 +26,6 @@ from repro.core.reassign import ReassignLearner, ReassignParams
 from repro.dag.activation import Activation
 from repro.dag.graph import Workflow
 from repro.experiments.environments import fleet_for
-from repro.rl import QTable
-from repro.rl.policy import EpsilonGreedyPolicy
-from repro.rl.qlearning import QLearningAgent
-from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
@@ -190,89 +182,6 @@ class TestSweepFingerprints:
         assert fingerprint(self._sweep(workers=4, batch=3)) == base
 
 
-class TestVectorizedPrimitives:
-    def test_gather_matches_scalar_values(self):
-        batched = QTable(init_scale=1e-3, seed=11)
-        scalar = QTable(init_scale=1e-3, seed=11)
-        actions = [(k, k + 1) for k in range(6)]
-        got = batched.gather("s", actions)
-        want = np.array([scalar.value("s", a) for a in actions])
-        assert np.array_equal(got, want)
-        # repeat gathers read, never re-draw
-        assert np.array_equal(batched.gather("s", actions), want)
-
-    def test_scatter_matches_scalar_sets(self):
-        batched = QTable(seed=1)
-        scalar = QTable(seed=1)
-        actions = [(0, 1), (1, 2), (2, 3)]
-        values = np.array([1.5, -2.0, 0.25])
-        batched.scatter("s", actions, values)
-        for a, v in zip(actions, values):
-            scalar.set("s", a, float(v))
-        assert batched.to_json() == scalar.to_json()
-        assert len(batched) == len(scalar)
-
-    def test_scatter_length_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="one value per action"):
-            QTable().scatter("s", [(0, 1)], np.zeros(2))
-
-    def test_choose_batch_matches_scalar_choose(self):
-        policy = EpsilonGreedyPolicy(0.3)
-        tables_b = [QTable(seed=k) for k in range(3)]
-        tables_s = [QTable(seed=k) for k in range(3)]
-        batches = [[(k, k + 1) for k in range(n)] for n in (4, 0, 2)]
-        rngs_b = [RngService(k).stream("pick") for k in range(3)]
-        rngs_s = [RngService(k).stream("pick") for k in range(3)]
-        got = policy.choose_batch(tables_b, "s", batches, rngs_b)
-        want = [
-            policy.choose(t, "s", acts, r) if acts else None
-            for t, acts, r in zip(tables_s, batches, rngs_s)
-        ]
-        assert got == want
-        assert got[1] is None  # empty lane -> "do nothing"
-
-    def test_choose_batch_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError, match="per lane"):
-            EpsilonGreedyPolicy(0.1).choose_batch(
-                [QTable()], "s", [[], []], [RngService(0).stream("x")]
-            )
-
-    def test_update_batch_matches_sequential_updates(self):
-        def transitions():
-            return [
-                ("s0", (0, 1), 1.0, "s1", [(0, 1), (1, 2)], 1),
-                ("s1", (1, 2), -0.5, "s2", [(2, 3)], 2),
-                ("s2", (2, 3), 0.25, "s3", [], 3),
-            ]
-
-        fused = QLearningAgent(alpha=0.5, gamma=0.9, seed=3)
-        sequential = QLearningAgent(alpha=0.5, gamma=0.9, seed=3)
-        got = fused.update_batch(transitions())
-        want = np.array(
-            [sequential.update(*tr) for tr in transitions()]
-        )
-        assert np.array_equal(got, want)
-        assert fused.qtable.to_json() == sequential.qtable.to_json()
-
-    def test_update_batch_read_after_write_stays_sequential(self):
-        # second transition bootstraps from the first one's write target,
-        # which must force the exact sequential path
-        def transitions():
-            return [
-                ("s0", (0, 1), 1.0, "s1", [(0, 1)], 1),
-                ("s1", (0, 1), 0.5, "s0", [(0, 1)], 2),
-            ]
-
-        fused = QLearningAgent(alpha=1.0, gamma=1.0, seed=6)
-        sequential = QLearningAgent(alpha=1.0, gamma=1.0, seed=6)
-        got = fused.update_batch(transitions())
-        want = np.array(
-            [sequential.update(*tr) for tr in transitions()]
-        )
-        assert np.array_equal(got, want)
-        assert fused.qtable.to_json() == sequential.qtable.to_json()
-
-
 class TestAdoptKernel:
     def test_adopting_over_a_built_kernel_is_rejected(self):
         wf = montage(25, seed=0)
@@ -330,9 +239,12 @@ class TestCliBatchFlag:
     def test_help_describes_batched_execution(self, capsys):
         from repro.cli import build_parser
 
-        for command in ("learn", "sweep", "ensemble"):
+        for command in ("sweep", "ensemble"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, "--help"])
-            out = capsys.readouterr().out
+            out = " ".join(capsys.readouterr().out.split())
             assert "--batch" in out
-            assert "lane" in out
+            assert "share one simulation kernel" in out
+            assert "learned one after another" in out
+            assert "default 8" in out
+            assert "lane" not in out

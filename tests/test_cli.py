@@ -103,63 +103,6 @@ class TestTableCommand:
         assert "Table V" in capsys.readouterr().out
 
 
-class TestActorsFlag:
-    """The --actors/--batch/--workers interplay, validated centrally."""
-
-    def test_actors_rejects_bad_values(self, capsys):
-        for bad in ("0", "-3", "two"):
-            with pytest.raises(SystemExit):
-                main(["learn", "--actors", bad])
-            assert "actors must be" in capsys.readouterr().err
-
-    def test_actors_and_batch_compose(self, capsys):
-        rc = main(["learn", "--size", "15", "--episodes", "4",
-                   "--actors", "2", "--batch", "2"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "batch=2" in out
-
-    def test_actors_and_workers_mutually_exclusive(self, capsys):
-        for cmd in ("sweep", "ensemble"):
-            with pytest.raises(SystemExit):
-                main([cmd, "--actors", "2", "--workers", "2"])
-            assert "--workers" in capsys.readouterr().err
-
-    def test_actors_with_explicit_batch_1_allowed(self, capsys):
-        rc = main(["learn", "--size", "15", "--episodes", "2",
-                   "--actors", "2", "--batch", "1"])
-        assert rc == 0
-        assert "actors" in capsys.readouterr().out
-
-    def test_learn_with_actors_matches_serial(self, capsys):
-        argv = ["learn", "--size", "15", "--episodes", "3", "--seed", "5"]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--actors", "2"]) == 0
-        actors_out = capsys.readouterr().out
-        pick = lambda text: [  # noqa: E731 - tiny local filter
-            line for line in text.splitlines()
-            if line.startswith(("first episode", "best episode",
-                                "plan makespan"))
-        ]
-        assert pick(actors_out) == pick(serial_out)
-        assert "mode=" in actors_out
-
-    def test_learn_with_actors_and_batch_matches_serial(self, capsys):
-        argv = ["learn", "--size", "15", "--episodes", "6", "--seed", "5"]
-        assert main(argv) == 0
-        serial_out = capsys.readouterr().out
-        assert main(argv + ["--actors", "2", "--batch", "3"]) == 0
-        pair_out = capsys.readouterr().out
-        pick = lambda text: [  # noqa: E731 - tiny local filter
-            line for line in text.splitlines()
-            if line.startswith(("first episode", "best episode",
-                                "plan makespan"))
-        ]
-        assert pick(pair_out) == pick(serial_out)
-        assert "batch=3" in pair_out
-
-
 class TestReproduceCommand:
     def test_reproduce_writes_artifacts(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_EPISODES", "2")

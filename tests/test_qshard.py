@@ -6,7 +6,7 @@ The sharded dense Q-storage (``backend="shard"``, optionally
 Evidence:
 
 - a Hypothesis property drives both backends through the same random
-  interleaving of scalar ops, vector gather/scatter, and full persist
+  interleaving of scalar ops, batched reductions, and full persist
   round-trips (``save_shards``/``load_shards`` vs ``to_json``/
   ``from_json``) and demands identical returns plus byte-identical
   ``to_json()`` at every persist point and at the end;
@@ -20,7 +20,6 @@ import json
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +39,7 @@ _OPS = st.lists(
     st.tuples(
         st.sampled_from(
             ["value", "add", "set", "max_value", "best_action",
-             "gather", "scatter", "persist"]
+             "persist"]
         ),
         st.integers(min_value=0, max_value=9),
         st.integers(min_value=0, max_value=6),
@@ -65,16 +64,7 @@ def _apply(table, rng, op, state_idx, action_idx, value):
         return None
     if op == "max_value":
         return table.max_value(state, actions)
-    if op == "best_action":
-        return table.best_action(state, actions, rng)
-    if op == "gather":
-        return tuple(table.gather(state, actions))
-    # scatter: deterministic values derived from the drawn scalar
-    table.scatter(
-        state, actions,
-        np.array([value + k for k in range(len(actions))]),
-    )
-    return None
+    return table.best_action(state, actions, rng)
 
 
 class TestShardBackendEquivalence:

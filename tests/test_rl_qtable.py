@@ -1,5 +1,8 @@
 """Tests for repro.rl.qtable."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.rl import QTable
@@ -129,3 +132,25 @@ class TestPersistence:
         c = t.copy()
         c.set("s", "a", 5.0)
         assert t.value("s", "a") == 1.0
+
+    @pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+    @pytest.mark.parametrize("backend", ["array", "dict", "shard"])
+    def test_pickle_roundtrip_drops_id_memo(self, backend, clone):
+        table = QTable(seed=1, backend=backend)
+        table.set("s0", (0, 1), 2.0)
+        actions = ((0, 1), (2, 3))
+        table.best_action("s0", actions)  # warms the id-keyed memo
+        if backend != "dict":
+            assert table._id_memo
+        if clone == "pickle":
+            twin = pickle.loads(pickle.dumps(table))
+        else:
+            twin = copy.deepcopy(table)
+        assert twin.to_json() == table.to_json()
+        # object ids do not survive the copy, so neither may the memo
+        assert twin.__dict__.get("_id_memo", {}) == {}
+        # the twin's init stream continues where the original's would
+        assert twin.value("sX", (5, 5)) == table.value("sX", (5, 5))
+        assert twin.best_action("s0", actions) == table.best_action(
+            "s0", actions
+        )

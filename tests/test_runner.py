@@ -12,6 +12,7 @@ from repro.runner import (
     resolve_workers,
     task_seed,
 )
+from repro.runner.parallel import host_cores
 from repro.util.validate import ValidationError
 
 
@@ -32,6 +33,19 @@ def slow_square(payload, seed):
 
 def tasks_of(n, fn=echo):
     return [Task(key=("t", i), fn=fn, payload=i) for i in range(n)]
+
+
+def kernel_probe(payload, seed):
+    """Build-or-hit a worker-cached kernel; report this process's view.
+
+    ``payload`` is the kernel fingerprint, so tests can use distinct
+    cache keys and not see each other's builds.
+    """
+    from repro.runner.parallel import kernel_cache_stats, shared_kernel
+
+    shared_kernel(payload, object)
+    stats = kernel_cache_stats()
+    return (os.getpid(), stats["builds"], stats["hits"])
 
 
 class TestCanonicalKey:
@@ -74,8 +88,15 @@ class TestResolveWorkers:
         assert resolve_workers(1) == 1
 
     def test_zero_means_all_cores(self):
-        assert resolve_workers(0) == (os.cpu_count() or 1)
-        assert resolve_workers(-1) == (os.cpu_count() or 1)
+        assert resolve_workers(0) == host_cores()
+        assert resolve_workers(-1) == host_cores()
+
+    def test_zero_honours_the_affinity_mask(self, monkeypatch):
+        # a container whose cpuset is smaller than the host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert resolve_workers(0) == 1
 
     def test_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
@@ -181,53 +202,14 @@ class TestPoolRunner:
         with pytest.raises(ValidationError):
             ParallelRunner(workers=1, chunk_size=0)
 
-
-def kernel_probe(payload, seed):
-    """Build-or-hit a worker-cached kernel; report this process's view.
-
-    ``payload`` is the kernel fingerprint, so tests can use distinct
-    cache keys and not see each other's builds.
-    """
-    from repro.runner.parallel import kernel_cache_stats, shared_kernel
-
-    shared_kernel(payload, object)
-    stats = kernel_cache_stats()
-    return (os.getpid(), stats["builds"], stats["hits"])
-
-
-class TestPersistentPool:
-    def test_kernel_cache_survives_across_runs(self):
-        """The satellite contract: one worker, one build, then hits.
-
-        With ``persistent=True`` even ``workers=1`` runs through a real
-        one-process pool, and that process — with its module-global
-        kernel cache — survives between ``run()`` calls.
-        """
-        fp = "persist-probe-survive"
-        with ParallelRunner(
-            workers=1, run_id="pp", seed=0, persistent=True
-        ) as runner:
-            first = runner.run(
-                [Task(key="k0", fn=kernel_probe, payload=fp)]
-            )[0].value
-            second = runner.run(
-                [Task(key="k1", fn=kernel_probe, payload=fp)]
-            )[0].value
-        pid1, builds1, hits1 = first
-        pid2, builds2, hits2 = second
-        assert pid1 == pid2, "persistent pool recycled its worker"
-        assert pid1 != os.getpid(), "persistent workers=1 must be a pool"
-        assert builds2 == builds1, "kernel rebuilt despite the live cache"
-        assert hits2 == hits1 + 1
-
     def test_ephemeral_pool_forgets_between_runs(self):
-        """Without persistence each run's fresh worker rebuilds.
+        """Each run starts fresh workers, so each run rebuilds.
 
-        (``workers=1`` without persistence is the in-process serial
-        path, where the parent's cache trivially survives — the
-        contrast needs a real throwaway pool.)
+        (``workers=1`` is the in-process serial path, where the
+        parent's cache trivially survives — the contrast needs a real
+        throwaway pool.)
         """
-        fp = "persist-probe-forget"
+        fp = "pool-probe-forget"
         runner = ParallelRunner(workers=2, run_id="pe", seed=0)
         first = runner.run(
             [Task(key="k0", fn=kernel_probe, payload=fp)]
@@ -236,41 +218,5 @@ class TestPersistentPool:
             [Task(key="k1", fn=kernel_probe, payload=fp)]
         )[0].value
         # both runs start workers from the same parent image: identical
-        # counters, no accumulated hits (contrast with the persistent
-        # test above, where the second run hits the first run's build)
+        # counters, no accumulated hits
         assert first[1:] == second[1:]
-
-    def test_matches_ephemeral_bitwise(self):
-        tasks = tasks_of(8)
-        with ParallelRunner(
-            workers=2, run_id="q", seed=5, persistent=True
-        ) as persistent_runner:
-            persistent = persistent_runner.run(tasks)
-        ephemeral = ParallelRunner(workers=2, run_id="q", seed=5).run(tasks)
-        assert [(r.key, r.index, r.value, r.seed) for r in persistent] == [
-            (r.key, r.index, r.value, r.seed) for r in ephemeral
-        ]
-
-    def test_context_manager_shuts_down(self):
-        with ParallelRunner(workers=2, persistent=True) as runner:
-            runner.run(tasks_of(3))
-            assert runner._executor is not None
-        assert runner._executor is None
-
-    def test_reusable_after_close(self):
-        runner = ParallelRunner(workers=2, run_id="rc", seed=1,
-                                persistent=True)
-        a = runner.run(tasks_of(3))
-        runner.close()
-        runner.close()  # idempotent
-        b = runner.run(tasks_of(3))  # lazily restarts a fresh pool
-        runner.close()
-        assert [(r.key, r.value, r.seed) for r in a] == [
-            (r.key, r.value, r.seed) for r in b
-        ]
-
-    def test_repr_flags_persistence(self):
-        assert "persistent=True" in repr(
-            ParallelRunner(workers=2, persistent=True)
-        )
-        assert "persistent" not in repr(ParallelRunner(workers=2))

@@ -1,14 +1,13 @@
 """Pinned seed-derivation vectors — the determinism contract, frozen.
 
-Every parallel feature in this tree (worker pools, batched lanes,
-distributed actors) leans on the same stateless sha256 derivations:
+Every parallel feature in this tree (worker pools, batched runs)
+leans on the same stateless sha256 derivations:
 :func:`repro.util.rng.derive_seed` for namespaced child seeds,
 :func:`repro.runner.parallel.task_seed` for per-task seeds, and
 ``RngService.spawn_seed`` for episode streams.  Bit-identical results
-across worker/actor/batch counts hold **only** while these functions
-return exactly what they returned when the golden artifacts
-(``results/BENCH_*.json`` fingerprints, plan goldens, the distributed
-engine's actor interleave) were frozen.
+across worker/batch counts hold **only** while these functions return
+exactly what they returned when the golden artifacts
+(``results/BENCH_*.json`` fingerprints, plan goldens) were frozen.
 
 These vectors pin the outputs to literal values.  If any assertion here
 fails, the derivation changed — every frozen artifact and cross-process
@@ -44,11 +43,6 @@ EPISODE_SPAWN_VECTORS = [
     1631016480423295652,
 ]
 
-#: The distributed engine's fixed actor->episode interleave for
-#: seed=5, n_actors=4 (see repro.core.distributed.learn_distributed).
-ACTOR_INTERLEAVE_SEED5_N4 = [3, 2, 1, 0]
-
-
 def test_derive_seed_pinned():
     for (root, name), expected in DERIVE_SEED_VECTORS.items():
         assert derive_seed(root, name) == expected, (root, name)
@@ -76,11 +70,3 @@ def test_episode_spawn_seeds_pinned():
     assert fresh.spawn_seed("episode:2") == EPISODE_SPAWN_VECTORS[2]
     assert fresh.spawn_seed("episode:0") == EPISODE_SPAWN_VECTORS[0]
 
-
-def test_actor_interleave_pinned():
-    perm = (
-        RngService(derive_seed(5, "actor-interleave"))
-        .stream("actor-interleave")
-        .permutation(4)
-    )
-    assert [int(x) for x in perm] == ACTOR_INTERLEAVE_SEED5_N4

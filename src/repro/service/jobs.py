@@ -18,7 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.util.validate import ValidationError, check_non_negative
+from repro.util.validate import (
+    ValidationError,
+    check_non_negative,
+    check_positive,
+)
 
 __all__ = ["Job", "TenantSpec", "default_tenants"]
 
@@ -64,11 +68,13 @@ class Job:
         if self.size < 1:
             raise ValidationError(f"size must be >= 1, got {self.size}")
         check_non_negative("arrival_time", self.arrival_time)
-        if self.deadline is not None and self.deadline < self.arrival_time:
-            raise ValidationError(
-                f"job {self.job_id}: deadline {self.deadline} precedes "
-                f"arrival {self.arrival_time}"
-            )
+        if self.deadline is not None:
+            check_non_negative(f"job {self.job_id} deadline", self.deadline)
+            if self.deadline < self.arrival_time:
+                raise ValidationError(
+                    f"job {self.job_id}: deadline {self.deadline} precedes "
+                    f"arrival {self.arrival_time}"
+                )
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready field dump (floats kept exact)."""
@@ -123,17 +129,15 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValidationError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise ValidationError(
-                f"tenant {self.name!r}: weight must be > 0, got {self.weight}"
-            )
+        check_positive(f"tenant {self.name!r} weight", self.weight)
         if not self.workflows:
             raise ValidationError(
                 f"tenant {self.name!r}: needs at least one workflow choice"
             )
-        if self.relative_deadline is not None and self.relative_deadline <= 0:
-            raise ValidationError(
-                f"tenant {self.name!r}: relative_deadline must be > 0"
+        if self.relative_deadline is not None:
+            check_positive(
+                f"tenant {self.name!r} relative_deadline",
+                self.relative_deadline,
             )
 
 

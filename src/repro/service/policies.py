@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.service.jobs import Job
 from repro.service.timeline import JobRun, ServiceView
-from repro.util.validate import ValidationError
+from repro.util.validate import ValidationError, check_positive
 
 __all__ = [
     "SchedulingPolicy",
@@ -143,10 +143,7 @@ class FairSharePolicy(SchedulingPolicy):
     def __init__(self, weights: Optional[Dict[str, float]] = None) -> None:
         self._weights = dict(weights or {})
         for tenant, weight in self._weights.items():
-            if weight <= 0:
-                raise ValidationError(
-                    f"tenant {tenant!r}: weight must be > 0, got {weight}"
-                )
+            check_positive(f"tenant {tenant!r} weight", weight)
 
     def _share(self, view: ServiceView, tenant: str) -> float:
         weight = self._weights.get(tenant, 1.0)
@@ -155,22 +152,20 @@ class FairSharePolicy(SchedulingPolicy):
         return (consumed + running * self.running_pressure) / weight
 
     def select(self, view: ServiceView) -> Optional[ServiceDecision]:
+        # The least (share, tenant, arrival_time, job_id) over jobs with
+        # ready work: share and tenant are per tenant, and each tenant's
+        # jobs come in (arrival_time, job_id) order, so only each
+        # tenant's first job with ready work can win.
         chosen: Optional[JobRun] = None
-        chosen_key: Tuple[float, str, float, int] = (
-            _INFINITY, "", _INFINITY, 0
-        )
-        for run in view.jobs:
-            if not run.ready_ids:
-                continue
-            key = (
-                self._share(view, run.job.tenant),
-                run.job.tenant,
-                run.job.arrival_time,
-                run.job.job_id,
-            )
-            if chosen is None or key < chosen_key:
-                chosen = run
-                chosen_key = key
+        chosen_key: Tuple[float, str] = (_INFINITY, "")
+        for tenant, runs in view.jobs_by_tenant.items():
+            for run in runs:
+                if run.ready_ids:
+                    key = (self._share(view, tenant), tenant)
+                    if chosen is None or key < chosen_key:
+                        chosen = run
+                        chosen_key = key
+                    break
         if chosen is None:
             return None
         activation_id = self._first_ready(chosen)

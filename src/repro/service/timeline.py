@@ -26,9 +26,10 @@ Multi-tenancy isolation (the single-tenancy audit in PR 6 — pinned by
 
 Determinism: the event heap's ``(time, priority, sequence)`` total order
 plus arrival events pre-scheduled in job-id order makes a run a pure
-function of ``(schedule, fleet, policy, seed)``.  No wall-clock reads,
-no unordered iteration — tenants are only ever iterated via sorted keys
-or admission order.
+function of ``(schedule, fleet, policy, seed)``, whatever order the
+fleet is passed in (the timeline holds it in VM id order).  No
+wall-clock reads, no unordered iteration — jobs are iterated in
+admission order or per tenant in ``(arrival_time, job_id)`` order.
 """
 
 from __future__ import annotations
@@ -233,8 +234,21 @@ class ServiceView:
 
     @property
     def jobs(self) -> Tuple[JobRun, ...]:
-        """In-flight jobs in admission order (the FIFO tie-break order)."""
+        """In-flight jobs in admission order.
+
+        Admission order is not a tie-break order: a policy may admit
+        jobs out of arrival order, and FIFO breaks ties by
+        ``(arrival_time, job_id)``.
+        """
         return tuple(self._tl.admitted.values())
+
+    @property
+    def jobs_by_tenant(self) -> Mapping[str, Sequence[JobRun]]:
+        """Each tenant's in-flight jobs in ``(arrival_time, job_id)`` order.
+
+        Only tenants with at least one in-flight job appear.
+        """
+        return self._tl.tenant_jobs
 
     @property
     def idle_vms(self) -> Tuple[Vm, ...]:
@@ -312,7 +326,9 @@ class FleetTimeline:
             raise ValidationError("max_attempts must be >= 1")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValidationError("max_in_flight must be >= 1 or None")
-        self.fleet: List[Vm] = list(fleet)
+        # id order, whatever the caller's order: policies break cost ties
+        # by taking the first idle VM, which must be the lowest id
+        self.fleet: List[Vm] = sorted(fleet, key=lambda vm: vm.id)
         self.vm_by_id: Dict[int, Vm] = {vm.id: vm for vm in self.fleet}
         self.fluctuation = (
             fluctuation if fluctuation is not None else NoFluctuation()
@@ -328,6 +344,8 @@ class FleetTimeline:
         self.now = 0.0
         self.queue = EventQueue()
         self.admitted: Dict[int, JobRun] = {}  # insertion = admission order
+        # the same runs grouped by tenant, each list in arrival order
+        self.tenant_jobs: Dict[str, List[JobRun]] = {}
         self.waiting: List[Job] = []
         self.in_flight: Dict[Tuple[int, int], ServicePending] = {}
         self.busy_time: Dict[int, float] = {}
@@ -337,6 +355,11 @@ class FleetTimeline:
         self.rng_fluct: np.random.Generator
         self.rng_fail: np.random.Generator
         self._dispatch_scheduled = False
+        # bumped at every slot change, so (now, _vm_version) keys the
+        # idle tuple exactly as EpisodeState.idle_view does
+        self._vm_version = 0
+        self._idle_key: Optional[Tuple[float, int]] = None
+        self._idle_cache: Tuple[Vm, ...] = ()
         self._view = ServiceView(self)
         self._workflow_factory: WorkflowFactory = _registry_factory
         self._ran = False
@@ -344,9 +367,20 @@ class FleetTimeline:
     # -- fleet views -----------------------------------------------------
 
     def idle_view(self) -> Tuple[Vm, ...]:
-        """VMs that can accept an activation at the current time."""
-        now = self.now
-        return tuple(vm for vm in self.fleet if vm.is_idle(now))
+        """Idle VMs ordered by id; cached per (time, slot change)."""
+        key = (self.now, self._vm_version)
+        if key != self._idle_key:
+            self._idle_key = key
+            now = self.now
+            # Vm.is_idle, inlined: this runs at every decision
+            self._idle_cache = tuple(
+                vm
+                for vm in self.fleet
+                if not vm.migrating
+                and now >= vm.available_at
+                and len(vm.running) < vm.type.vcpus
+            )
+        return self._idle_cache
 
     def has_ready(self) -> bool:
         for run in self.admitted.values():
@@ -392,6 +426,7 @@ class FleetTimeline:
             vm.available_at = boot
             if boot > 0:
                 self.queue.schedule(boot, EventType.VM_READY, vm.id)
+        self._vm_version += 1  # the resets above emptied every slot
 
         ordered = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
         for job in ordered:
@@ -470,6 +505,12 @@ class FleetTimeline:
                     f"job {job.job_id}: workflow factory produced "
                     f"{n_generated} activations, expected {job.size}"
                 )
+            for activation_id in workflow.activation_ids:
+                if activation_id >= _MAX_ACTIVATION_ID:
+                    raise ValidationError(
+                        f"job {job.job_id}: activation id {activation_id} "
+                        f"is not below 2**20, the service's per-job limit"
+                    )
             run = JobRun(
                 job,
                 workflow,
@@ -479,6 +520,14 @@ class FleetTimeline:
                 admit_time=self.now,
             )
             self.admitted[job.job_id] = run
+            # a policy may admit out of arrival order, so insert in order,
+            # scanning back from the end: in-order admission appends, and
+            # bisect's key= would need Python 3.10
+            runs = self.tenant_jobs.setdefault(job.tenant, [])
+            at = len(runs)
+            while at and _arrival_order(runs[at - 1]) > _arrival_order(run):
+                at -= 1
+            runs.insert(at, run)
             self.tenant_busy_time.setdefault(job.tenant, 0.0)
             self.tenant_running.setdefault(job.tenant, 0)
 
@@ -537,6 +586,7 @@ class FleetTimeline:
 
         run.start_running(ac)
         vm.start(_slot_key(job_id, activation_id))
+        self._vm_version += 1
         if run.first_dispatch_time is None:
             run.first_dispatch_time = self.now
         self.tenant_running[run.job.tenant] += 1
@@ -566,6 +616,7 @@ class FleetTimeline:
         ac = run.activation(pending.activation_id)
         vm = self.vm_by_id[pending.vm_id]
         vm.finish(_slot_key(pending.job_id, pending.activation_id))
+        self._vm_version += 1
         del self.in_flight[(pending.job_id, pending.activation_id)]
         elapsed = self.now - pending.dispatch_time
         self.busy_time[vm.id] += elapsed
@@ -616,6 +667,10 @@ class FleetTimeline:
     def _retire(self, run: JobRun) -> None:
         """Record a finished job and free its in-flight slot."""
         del self.admitted[run.job.job_id]
+        runs = self.tenant_jobs[run.job.tenant]
+        runs.remove(run)
+        if not runs:
+            del self.tenant_jobs[run.job.tenant]
         first = (
             run.first_dispatch_time
             if run.first_dispatch_time is not None
@@ -638,16 +693,24 @@ class FleetTimeline:
         )
 
 
+#: activation ids share a slot token with the job id (see _slot_key)
+_MAX_ACTIVATION_ID = 1 << 20
+
+
 def _slot_key(job_id: int, activation_id: int) -> int:
     """Fleet-unique slot token for (job, activation).
 
     :class:`~repro.sim.vm.Vm` tracks occupancy as a set of ints that the
     single-job kernel fills with bare activation ids.  Two jobs both
     running activation 3 would collide, so the service packs the job id
-    into the token (activation ids stay well below 2**20 for any
-    registry workflow).
+    into the token.  Admission rejects activation ids of 2**20 and up,
+    which would spill into the job id's bits.
     """
     return (job_id << 20) | activation_id
+
+
+def _arrival_order(run: JobRun) -> Tuple[float, int]:
+    return (run.job.arrival_time, run.job.job_id)
 
 
 def _registry_factory(job: Job) -> Workflow:

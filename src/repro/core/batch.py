@@ -5,9 +5,12 @@ workflow, same fleet, same environment — only the hyper-parameters and
 seeds differ.  :func:`learn_batch` runs them as a loop of
 :meth:`ReassignLearner.learn() <repro.core.reassign.ReassignLearner.learn>`
 calls that share **one** :class:`~repro.sim.kernel.EpisodeKernel` per
-kernel-fingerprint group: the frozen DAG indexes, nominal estimate
-caches and interned action-pair pool are built once per group and
-amortized across its runs instead of once per run.
+kernel-fingerprint group: the frozen DAG indexes and nominal estimate
+caches are built once per group and amortized across its runs instead
+of once per run.  The lane's lean body keeps its Q-values in a per-run
+mirror and builds no action-pair tuples, so it does not share the
+kernel's pair interner across a group's runs; only the object path and
+the lane's general body use that interner.
 
 Each run takes whatever path ``learn()`` takes for its spec — the fused
 lane stepper (:mod:`repro.core.lane`) for the paper's rule, the
@@ -23,9 +26,10 @@ driving a ``ReassignScheduler`` for each ``episode:{i}`` seed, then
 the final-plan rule) produces for the same spec, for any batch size
 and for every Q-table backend.  Sharing the kernel is safe because
 episodes reset its mutable state at entry and scrub it on exceptions,
-and its cross-run shared structures — the action-pair interner and
-the nominal estimate memos — are content-addressed caches whose hits
-return identical objects/values regardless of who warmed them.
+and its cross-run shared structures — the nominal estimate memos and,
+for runs off the lean body, the action-pair interner — are
+content-addressed caches whose hits return identical objects/values
+regardless of who warmed them.
 Pinned by ``tests/test_batched_engine.py``.
 """
 

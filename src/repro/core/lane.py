@@ -27,14 +27,39 @@ Two loop bodies implement that contract:
   collapses to "pop the completion cluster at time t, then run the
   dispatch phase inline".  That lets the lean loop drop the ``Event``
   / ``PendingExecution`` / dispatch-event allocations, keep a plain
-  tuple heap, mirror the single Q-row as a Python float list for
-  scalar reductions, and localize the state's version counters —
-  while performing **exactly** the same RNG draws and float ops as the
-  general loop (the selection values are the same IEEE doubles whether
-  read from the numpy row or its float-list mirror, and the skipped
-  work — in-flight bookkeeping, busy-time integration without a
-  throttle model, attempt lookups without failures — is provably dead
-  in the regime).
+  tuple heap, read Q-values from a per-run mirror (below), and
+  localize the state's version counters — while performing
+  **exactly** the same RNG draws and float ops as the general loop
+  (the skipped work — in-flight bookkeeping, busy-time integration
+  without a throttle model, attempt lookups without failures — is
+  provably dead in the regime).
+
+**The lean body's Q mirror.**  :class:`_QMirror` holds the table's
+single ``"available"`` row as ``vals[activation][vm_position]`` Python
+floats, with per-entry known flags, per-entry table action ids (−1
+while not interned) and a per-row count of unknown entries.  It is
+built from the table the first time a lane runs a lean episode and is
+written through on every draw and update, so it equals the table's row
+at the start of every lean episode (``_drive_general`` writes the
+table directly, so it drops the mirror).  No action tuples are built:
+the sorted ready ids ``R`` and the idle VM positions ``I`` (memoized
+per busy bitmask) stand for the ready × idle product, and index ``i``
+means ``(R[i // |I|], I[i % |I|])`` — the index of the same pair in the
+object path's ``action_pairs`` tuple, so every ε draw and tie draw is
+unchanged.  Each row's max over ``I`` is cached per activation and per
+busy mask; the only writes to a row are its own first-touch draws and
+the Eq.-3 update of a dispatched pair, and the update drops the row's
+whole cache.  This is sound because an activation's row changes only
+when that activation is dispatched, after which it is never ready
+again in the episode.  Exploitation takes ``cut = max(row maxima) −
+1e-15`` and enumerates ties in product order over just the rows whose
+max reaches ``cut``; the update's ``future`` is the largest row max
+over the post-dispatch ``R × I``, and its list of row maxima serves the
+next selection, which sees the same ``R × I``.  The miss path
+(:meth:`_QMirror.row_max`) first touches the row's unknown entries over
+``I`` in position order — interning each if new, then drawing it —
+so the draws happen in exactly the product order the object path's
+``_ensure_known`` uses.
 
 Both bodies support **lite mode** (``lite=True``): per-activation
 :class:`~repro.sim.metrics.ActivationRecord` construction is replaced
@@ -54,7 +79,7 @@ import math
 from bisect import bisect_left, insort
 from heapq import heappop, heappush
 from itertools import product
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -95,13 +120,6 @@ _LOCKED = ActivationState.LOCKED
 
 _SUCCEEDED = "successfully finished"
 
-#: Below this slice width the lean loop reduces over the Python-float
-#: row mirror instead of gathering through numpy.  A pure performance
-#: knob: both paths perform identical comparisons and draws (ties are
-#: enumerated in the same order), so the crossover cannot affect
-#: results — it was measured on the Montage-50 protocol.
-_LEAN_SCALAR_LIMIT = 256
-
 
 def _drive_general(
     kernel: EpisodeKernel,
@@ -117,6 +135,8 @@ def _drive_general(
     caller.
     """
     del lite
+    # this body writes the table directly, so the lean mirror goes stale
+    lane.mirror = None
     state = kernel.state
     vms = kernel.vms
     estimates = kernel.estimates
@@ -771,8 +791,7 @@ class _FastLane:
         "params", "qtable", "store", "rng", "exploit_p", "keep_history",
         "t", "steps", "reward_sum", "mu", "rho", "pos", "exec_n",
         "exec_mean", "queue_n", "queue_mean", "index", "g_exec_n",
-        "g_exec_mean", "g_queue_n", "g_queue_mean", "reward",
-        "pairs_memo",
+        "g_exec_mean", "g_queue_n", "g_queue_mean", "reward", "mirror",
     )
 
     params: ReassignParams
@@ -797,12 +816,8 @@ class _FastLane:
     g_queue_n: int
     g_queue_mean: float
     reward: float
-    #: id(pairs-tuple) → ``[pairs, id_list, ids_array|None, ensured]``
-    #: — the lean loop's cross-episode action-slice cache.  Entries pin
-    #: their pairs tuple (slot 0), so the id key can never be reused
-    #: while the entry lives.  Valid because the table's action
-    #: interning only ever grows.
-    pairs_memo: Dict[int, List[Any]]
+    #: the lean body's Q mirror, built at the lane's first lean episode
+    mirror: Optional[_QMirror]
 
     def __init__(self, scheduler: ReassignScheduler) -> None:
         params = scheduler.params
@@ -818,7 +833,7 @@ class _FastLane:
         self.t = 1
         self.steps = 0
         self.reward_sum = 0.0
-        self.pairs_memo = {}
+        self.mirror = None
         reward = scheduler.reward
         trackers = list(reward._vms.values())
         self.mu = reward.mu
@@ -950,6 +965,103 @@ def _drive_episode(
     return _drive_general(kernel, lane, lite)
 
 
+class _QMirror:
+    """The lean body's per-run mirror of the table's ``"available"`` row.
+
+    See the module docstring for the layout and the row-max cache.
+    Every write goes through to the table, so ``qtable_json``,
+    ``write_back``, ``extract_plan`` and later ``learn()`` calls read
+    the table as if the lane had written it directly.
+    """
+
+    __slots__ = (
+        "table", "sid", "qrow", "krow", "vm_ids", "vals", "known", "ids",
+        "n_unknown", "rmax", "idle_pos",
+    )
+
+    def __init__(self, table: QTable, kernel: EpisodeKernel) -> None:
+        self.table = table
+        self.sid = table._state_id(AVAILABLE)
+        self._fetch_rows()
+        qrow = self.qrow
+        krow = self.krow
+        aget = table._action_ids.get
+        self.vm_ids = [vm.id for vm in kernel.vms]
+        self.vals: Dict[int, List[float]] = {}
+        self.known: Dict[int, List[bool]] = {}
+        self.ids: Dict[int, List[int]] = {}
+        self.n_unknown: Dict[int, int] = {}
+        #: activation → {busy mask: the row's max over that mask's I}
+        self.rmax: Dict[int, Dict[int, float]] = {}
+        for a in kernel._ac_by_id:
+            ids = [aget((a, v), -1) for v in self.vm_ids]
+            known = [aid >= 0 and bool(krow[aid]) for aid in ids]
+            self.vals[a] = [
+                float(qrow[aid]) if k else 0.0 for aid, k in zip(ids, known)
+            ]
+            self.known[a] = known
+            self.ids[a] = ids
+            self.n_unknown[a] = known.count(False)
+            self.rmax[a] = {}
+        #: busy mask → positions of the VMs it leaves idle (bit j set ⟺
+        #: ``kernel.vms[j]`` is full)
+        self.idle_pos: Dict[int, Tuple[int, ...]] = {}
+
+    def _fetch_rows(self) -> None:
+        table = self.table
+        if table.backend == "shard":
+            self.qrow = table._store.q_row(self.sid)
+            self.krow = table._store.known_row(self.sid)
+        else:
+            self.qrow = table._q[self.sid]
+            self.krow = table._known[self.sid]
+
+    def idle_at(self, mask: int) -> Tuple[int, ...]:
+        """The idle VM positions under busy ``mask`` (memoized)."""
+        idle = self.idle_pos.get(mask)
+        if idle is None:
+            idle = tuple(
+                [j for j in range(len(self.vm_ids)) if not mask >> j & 1]
+            )
+            self.idle_pos[mask] = idle
+        return idle
+
+    def touch(self, a: int, j: int) -> None:
+        """First touch of entry ``(a, j)``: intern if new, then draw."""
+        table = self.table
+        ids = self.ids[a]
+        aid = ids[j]
+        if aid < 0:
+            aid = table._action_id((a, self.vm_ids[j]))
+            ids[j] = aid
+            if aid >= len(self.qrow):
+                # interning grew (reallocated) the table's storage
+                self._fetch_rows()
+        v = float(table._rng.uniform(0.0, table._init_scale))
+        self.vals[a][j] = v
+        self.known[a][j] = True
+        self.n_unknown[a] -= 1
+        self.qrow[aid] = v
+        self.krow[aid] = True
+        table._n_known += 1
+
+    def row_max(self, a: int, mask: int, idle: Tuple[int, ...]) -> float:
+        """Row ``a``'s max over ``idle``: the row-max cache's miss path.
+
+        Touches the row's unknown entries over ``idle`` first, in
+        position order, then caches the max under ``mask``.
+        """
+        row = self.vals[a]
+        if self.n_unknown[a]:
+            known = self.known[a]
+            for j in idle:
+                if not known[j]:
+                    self.touch(a, j)
+        best = max(map(row.__getitem__, idle))
+        self.rmax[a][mask] = best
+        return best
+
+
 def _drive_lean(
     kernel: EpisodeKernel,
     lane: _FastLane,
@@ -983,7 +1095,6 @@ def _drive_lean(
     horizon = kernel.horizon
     n_total = kernel.n_activations
     ac_by_id = kernel._ac_by_id
-    vm_by_id = kernel.vm_by_id
     children = kernel._children
     unfinished = state._unfinished_parents
     file_locations = state.file_locations
@@ -991,7 +1102,6 @@ def _drive_lean(
     ready_time = state.ready_time
     ready_ids = state._ready_ids
     records = state.records
-    interned = state._pairs_interned
     terms_memo = estimates._stage_in_terms
     cmp_memo = estimates._compute
     out_memo = estimates._stage_out
@@ -999,46 +1109,25 @@ def _drive_lean(
 
     # RL locals (one lane: its own table, policy stream, reward)
     params = lane.params
-    table = lane.qtable
-    store = lane.store
     rng_random = lane.rng.random
     rng_integers = lane.rng.integers
     exploit_p = lane.exploit_p
     alpha = params.alpha
     gamma = params.gamma
     discount_power = params.discount_power
-    sid = table._state_id(AVAILABLE)
-    aget = table._action_ids.get
-    action_id = table._action_id
-    ensure_known = table._ensure_known
-    # lane-persistent action-slice cache; entry: [pairs, id_list,
-    # ids_array|None, ensured].  Building an id_list registers unseen
-    # actions left-to-right — the exact first-touch order of
-    # QTable._action_slice — and never draws.
-    pmemo = lane.pairs_memo
-    pmemo_get = pmemo.get
+    mirror = lane.mirror
+    if mirror is None:
+        mirror = lane.mirror = _QMirror(lane.qtable, kernel)
+    q_vals = mirror.vals
+    q_known = mirror.known
+    q_ids = mirror.ids
+    rmax = mirror.rmax
+    row_max = mirror.row_max
+    idle_at = mirror.idle_at
+    vm_ids = mirror.vm_ids
     t_rl = 1
     steps = 0
     reward_sum = 0.0
-
-    # Python-float mirror of the single Q-row: scalar reductions read
-    # plain floats (same IEEE doubles as the numpy cells), resynced
-    # whenever the table's interning or known-count changes — the only
-    # events that can replace or write the row outside this loop's own
-    # mirrored writes.
-    single_state = len(table._states) == 1
-    nk_seen = table._n_known
-    na_seen = len(table._actions)
-    if store is not None:
-        qrow = store.q_row(sid)
-        known_row = store.known_row(sid)
-    else:
-        qrow = table._q[sid]
-        known_row = table._known[sid]
-    row_list: List[float] = qrow.tolist()
-    row_get = row_list.__getitem__
-    known_list: List[bool] = known_row.tolist()
-    full_row = single_state and nk_seen == na_seen
 
     # inlined PerformanceReward state (Welford mean pushes)
     r_mu = lane.mu
@@ -1055,147 +1144,68 @@ def _drive_lean(
     g_queue_mean = lane.g_queue_mean
     reward = 0.0
 
-    # localized version counters + single-slot content caches (the
-    # in-state equivalents only matter to generic consumers; written
-    # back in the epilogue, monotonicity preserved)
+    # localized version counters (the in-state equivalents only matter
+    # to generic consumers; written back in the epilogue, monotonicity
+    # preserved; reset left the idle cache empty, so idle changes now)
     rv = state._ready_version
-    iv = state._idle_version
+    iv = state._idle_version + 1
     vmv = state._vm_version
-    ready_tup_v = -1
-    ready_tup: Tuple[int, ...] = ()
-    idle_ids_v = -1
-    idle_ids: Tuple[int, ...] = ()
-    last_pkey: Optional[Tuple[int, int]] = None
-    cpairs: Tuple[Tuple[int, int], ...] = ()
 
-    # busy-bitmask idle memo (same shape as the general body)
-    vm_bits = {vm.id: 1 << i for i, vm in enumerate(vms)}
-    vcap_id = {vm.id: vm.type.vcpus for vm in vms}
-    idle_by_mask = state._idle_by_mask
+    # busy bitmask (bit j set ⟺ vms[j] full) and its idle positions
+    vcap = [vm.type.vcpus for vm in vms]
     busy_mask = 0
-    for i, vm in enumerate(vms):
-        if len(vm.running) >= vm.type.vcpus:
-            busy_mask |= 1 << i
-    idle = idle_by_mask.get(busy_mask, ())
-    if not idle and busy_mask not in idle_by_mask:
-        idle = tuple(
-            [vm for vm in vms if len(vm.running) < vm.type.vcpus]
-        )
-        idle_by_mask[busy_mask] = idle
-    if idle != state._idle_cache:
-        state._idle_cache = idle
-        iv += 1
+    for j, vm in enumerate(vms):
+        if len(vm.running) >= vcap[j]:
+            busy_mask |= 1 << j
+    idle = idle_at(busy_mask)
 
     heap: List[Tuple[float, int, int, int, float, float, float]] = []
     cnt = 0
     now = 0.0
     n_finished = 0
+    top = 0.0
 
     completed = False
     try:
         while n_finished < n_total:
             # -- dispatch phase at `now` ---------------------------------
+            # row maxima over the current R × I; an update leaves them
+            # for the next selection, which sees the same R and I
+            maxes: Optional[List[float]] = None
             while ready_ids and idle:
-                pkey = (rv, iv)
-                if pkey != last_pkey:
-                    last_pkey = pkey
-                    if rv != ready_tup_v:
-                        ready_tup_v = rv
-                        ready_tup = tuple(ready_ids)
-                    if iv != idle_ids_v:
-                        idle_ids_v = iv
-                        idle_ids = tuple([vm.id for vm in idle])
-                    content = (ready_tup, idle_ids)
-                    got = interned.get(content)
-                    if got is None:
-                        got = tuple(product(ready_tup, idle_ids))
-                        if len(interned) >= _PAIRS_INTERN_LIMIT:
-                            interned.pop(next(iter(interned)))
-                        interned[content] = got
-                    cpairs = got
-                pairs = cpairs
-                # ε-greedy selection, inlined (one gather per step)
+                n_idle = len(idle)
+                # ε-greedy selection, inlined
                 if rng_random() < exploit_p:
-                    mentry = pmemo_get(id(pairs))
-                    if mentry is None or mentry[0] is not pairs:
-                        id_list = [
-                            aid
-                            if (aid := aget(a)) is not None
-                            else action_id(a)
-                            for a in pairs
+                    if maxes is None:
+                        maxes = [
+                            m if (m := rmax[a].get(busy_mask)) is not None
+                            else row_max(a, busy_mask, idle)
+                            for a in ready_ids
                         ]
-                        mentry = [pairs, id_list, None, False]
-                        pmemo[id(pairs)] = mentry
-                        if (
-                            table._n_known != nk_seen
-                            or len(table._actions) != na_seen
-                        ):
-                            nk_seen = table._n_known
-                            na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
-                            row_list = qrow.tolist()
-                            row_get = row_list.__getitem__
-                            known_list = known_row.tolist()
-                            full_row = single_state and nk_seen == na_seen
+                        top = max(maxes)
+                    cut = top - 1e-15
+                    ties: List[int] = []
+                    for ri, m in enumerate(maxes):
+                        if m >= cut:
+                            row = q_vals[ready_ids[ri]]
+                            base = ri * n_idle
+                            ties += [
+                                base + k for k, j in enumerate(idle)
+                                if row[j] >= cut
+                            ]
+                    if len(ties) == 1:
+                        i = ties[0]
                     else:
-                        id_list = mentry[1]
-                    if not mentry[3]:
-                        if not full_row:
-                            ids = mentry[2]
-                            if ids is None:
-                                ids = np.array(id_list, dtype=np.intp)
-                                mentry[2] = ids
-                            ensure_known(sid, ids)
-                            nk_seen = table._n_known
-                            na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
-                            row_list = qrow.tolist()
-                            row_get = row_list.__getitem__
-                            known_list = known_row.tolist()
-                            full_row = single_state and nk_seen == na_seen
-                        mentry[3] = True
-                    if len(id_list) < _LEAN_SCALAR_LIMIT:
-                        values_list = list(map(row_get, id_list))
-                        cut = max(values_list) - 1e-15
-                        tie_list = [
-                            i for i, v in enumerate(values_list)
-                            if v >= cut
-                        ]
-                        if len(tie_list) == 1:
-                            ipos = tie_list[0]
-                        else:
-                            ipos = tie_list[int(rng_integers(len(tie_list)))]
-                    else:
-                        ids = mentry[2]
-                        if ids is None:
-                            ids = np.array(id_list, dtype=np.intp)
-                            mentry[2] = ids
-                        values = qrow.take(ids)
-                        ipos = int(values.argmax())
-                        band = values >= values[ipos] - 1e-15
-                        bcnt = int(band.sum())
-                        if bcnt > 1:
-                            ties = np.flatnonzero(band)
-                            ipos = int(ties[int(rng_integers(bcnt))])
-                    action = pairs[ipos]
-                    sel_aid: Optional[int] = id_list[ipos]
+                        i = ties[int(rng_integers(len(ties)))]
                 else:
-                    ipos = int(rng_integers(len(pairs)))
-                    action = pairs[ipos]
-                    sel_aid = None
-                activation_id, vm_id = action
+                    i = int(rng_integers(len(ready_ids) * n_idle))
+                ri, k = divmod(i, n_idle)
+                activation_id = ready_ids[ri]
+                vpos = idle[k]
+                vm_id = vm_ids[vpos]
+                vm = vms[vpos]
                 ac = ac_by_id[activation_id]
-                vm = vm_by_id[vm_id]
+                action = (activation_id, vm_id)
                 terms = terms_memo.get(action)
                 if terms is None:
                     terms = estimates.stage_in_terms(ac, vm)
@@ -1207,7 +1217,7 @@ def _drive_lean(
                 if compute is None:
                     compute = estimates.compute_time(ac, vm)
                 if fl_mode and (
-                    vm.type.vcpus <= fl_maxv
+                    vcap[vpos] <= fl_maxv
                     and busy_time[vm_id] > fl_credit
                 ):
                     compute *= fl_throttle
@@ -1217,27 +1227,21 @@ def _drive_lean(
                 duration = stage_in + compute + stage_out
                 # start_running, inlined
                 ac.state = _RUNNING
-                del ready_ids[bisect_left(ready_ids, activation_id)]
+                del ready_ids[ri]
                 rv += 1
                 running = vm.running
                 running.add(activation_id)
                 vmv += 1
-                if len(running) == vcap_id[vm_id]:
-                    busy_mask |= vm_bits[vm_id]
-                    idle = idle_by_mask.get(busy_mask, ())
-                    if not idle and busy_mask not in idle_by_mask:
-                        idle = tuple([
-                            v for v in vms
-                            if len(v.running) < v.type.vcpus
-                        ])
-                        idle_by_mask[busy_mask] = idle
+                if len(running) == vcap[vpos]:
+                    busy_mask |= 1 << vpos
+                    idle = idle_at(busy_mask)
                     iv += 1
                 planned_finish = now + duration
                 a_ready_time = ready_time[activation_id]
                 cnt += 1
                 heappush(
                     heap,
-                    (planned_finish, cnt, activation_id, vm_id, now,
+                    (planned_finish, cnt, activation_id, vpos, now,
                      a_ready_time, stage_in),
                 )
                 # PerformanceReward.step, inlined (te, tf)
@@ -1292,130 +1296,29 @@ def _drive_lean(
                 reward = reward + r_rho * (r_i - reward)
                 r_t = reward
                 reward_sum += r_t
-                # next-state pairs (post-dispatch view)
+                # Eq.-3 max over the post-dispatch R × I
                 if ready_ids and idle:
-                    pkey = (rv, iv)
-                    if pkey != last_pkey:
-                        last_pkey = pkey
-                        if rv != ready_tup_v:
-                            ready_tup_v = rv
-                            ready_tup = tuple(ready_ids)
-                        if iv != idle_ids_v:
-                            idle_ids_v = iv
-                            idle_ids = tuple([vm.id for vm in idle])
-                        content = (ready_tup, idle_ids)
-                        got = interned.get(content)
-                        if got is None:
-                            got = tuple(product(ready_tup, idle_ids))
-                            if len(interned) >= _PAIRS_INTERN_LIMIT:
-                                interned.pop(next(iter(interned)))
-                            interned[content] = got
-                        cpairs = got
-                    next_pairs = cpairs
+                    maxes = [
+                        m if (m := rmax[a].get(busy_mask)) is not None
+                        else row_max(a, busy_mask, idle)
+                        for a in ready_ids
+                    ]
+                    future = top = max(maxes)
                 else:
-                    next_pairs = ()
-                gamma_t = gamma ** t_rl if discount_power else gamma
-                if next_pairs:
-                    mentry = pmemo_get(id(next_pairs))
-                    if mentry is None or mentry[0] is not next_pairs:
-                        id_list2 = [
-                            aid
-                            if (aid := aget(a)) is not None
-                            else action_id(a)
-                            for a in next_pairs
-                        ]
-                        mentry = [next_pairs, id_list2, None, False]
-                        pmemo[id(next_pairs)] = mentry
-                        if (
-                            table._n_known != nk_seen
-                            or len(table._actions) != na_seen
-                        ):
-                            nk_seen = table._n_known
-                            na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
-                            row_list = qrow.tolist()
-                            row_get = row_list.__getitem__
-                            known_list = known_row.tolist()
-                            full_row = single_state and nk_seen == na_seen
-                    else:
-                        id_list2 = mentry[1]
-                    if not mentry[3]:
-                        if not full_row:
-                            ids = mentry[2]
-                            if ids is None:
-                                ids = np.array(id_list2, dtype=np.intp)
-                                mentry[2] = ids
-                            ensure_known(sid, ids)
-                            nk_seen = table._n_known
-                            na_seen = len(table._actions)
-                            if store is not None:
-                                qrow = store.q_row(sid)
-                                known_row = store.known_row(sid)
-                            else:
-                                qrow = table._q[sid]
-                                known_row = table._known[sid]
-                            row_list = qrow.tolist()
-                            row_get = row_list.__getitem__
-                            known_list = known_row.tolist()
-                            full_row = (
-                                single_state and nk_seen == na_seen
-                            )
-                        mentry[3] = True
-                    if len(id_list2) < _LEAN_SCALAR_LIMIT:
-                        # max over the same floats in the same compare
-                        # order as the explicit scan — identical result
-                        future = max(map(row_get, id_list2))
-                    else:
-                        ids = mentry[2]
-                        if ids is None:
-                            ids = np.array(id_list2, dtype=np.intp)
-                            mentry[2] = ids
-                        future = float(qrow.take(ids).max())
-                else:
+                    maxes = None
                     future = 0.0
-                if sel_aid is None:
-                    sel_aid = table._action_id(action)
-                    if (
-                        table._n_known != nk_seen
-                        or len(table._actions) != na_seen
-                    ):
-                        nk_seen = table._n_known
-                        na_seen = len(table._actions)
-                        if store is not None:
-                            qrow = store.q_row(sid)
-                            known_row = store.known_row(sid)
-                        else:
-                            qrow = table._q[sid]
-                            known_row = table._known[sid]
-                        row_list = qrow.tolist()
-                        row_get = row_list.__getitem__
-                        known_list = known_row.tolist()
-                        full_row = single_state and nk_seen == na_seen
-                if known_list[sel_aid]:
-                    q_sa = row_list[sel_aid]
-                else:
-                    q_sa = float(
-                        table._rng.uniform(0.0, table._init_scale)
-                    )
-                    qrow[sel_aid] = q_sa
-                    row_list[sel_aid] = q_sa
-                    known_row[sel_aid] = True
-                    known_list[sel_aid] = True
-                    table._n_known += 1
-                    nk_seen += 1
-                    full_row = single_state and nk_seen == na_seen
-                # every operand is a plain Python float here (the numpy
-                # gather path converts through float() above), so the
-                # product needs no narrowing cast
+                gamma_t = gamma ** t_rl if discount_power else gamma
+                # the explored pair's own first touch comes after the
+                # next state's (an exploited pair is already known)
+                if not q_known[activation_id][vpos]:
+                    mirror.touch(activation_id, vpos)
+                row = q_vals[activation_id]
+                q_sa = row[vpos]
                 delta = r_t + gamma_t * future - q_sa
                 q_new = q_sa + alpha * delta
-                qrow[sel_aid] = q_new
-                row_list[sel_aid] = q_new
+                row[vpos] = q_new
+                mirror.qrow[q_ids[activation_id][vpos]] = q_new
+                rmax[activation_id].clear()
                 t_rl += 1
                 steps += 1
 
@@ -1427,38 +1330,32 @@ def _drive_lean(
                     f"events"
                 )
             while True:
-                t, _c, aid_, vm_id_, dtime, rtime, sin = heappop(heap)
+                t, _c, aid_, vpos, dtime, rtime, sin = heappop(heap)
                 now = t
                 if now > horizon:
                     raise SimulationError(
                         f"simulation exceeded horizon {horizon}"
                     )
                 ac = ac_by_id[aid_]
-                vm = vm_by_id[vm_id_]
-                running = vm.running
+                vm_id = vm_ids[vpos]
+                running = vms[vpos].running
                 running.remove(aid_)
                 vmv += 1
-                if len(running) + 1 == vcap_id[vm_id_]:
-                    busy_mask &= ~vm_bits[vm_id_]
-                    idle = idle_by_mask.get(busy_mask, ())
-                    if not idle and busy_mask not in idle_by_mask:
-                        idle = tuple([
-                            v for v in vms
-                            if len(v.running) < v.type.vcpus
-                        ])
-                        idle_by_mask[busy_mask] = idle
+                if len(running) + 1 == vcap[vpos]:
+                    busy_mask &= ~(1 << vpos)
+                    idle = idle_at(busy_mask)
                     iv += 1
                 if fl_mode:
-                    busy_time[vm_id_] += now - dtime
+                    busy_time[vm_id] += now - dtime
                 for f in ac.outputs:
-                    file_locations[f.name] = vm_id_
+                    file_locations[f.name] = vm_id
                 if lite:
-                    assignment[aid_] = vm_id_
+                    assignment[aid_] = vm_id
                 else:
                     records.append(ActivationRecord(
                         activation_id=aid_,
                         activity=ac.activity,
-                        vm_id=vm_id_,
+                        vm_id=vm_id,
                         ready_time=rtime,
                         start_time=dtime,
                         finish_time=now,
@@ -1491,7 +1388,7 @@ def _drive_lean(
         state._vm_version = vmv
         state._ready_version = rv
         state._idle_version = iv
-        state._idle_cache = idle
+        state._idle_cache = tuple([vms[j] for j in idle])
         state._ready_cache = None
         state._records_cache = None
         state._pairs_key = None

@@ -61,7 +61,11 @@ from repro.sim.simulator import SimulationContext
 from repro.sim.vm import Vm, as_single_slot
 from repro.dag.graph import Workflow
 from repro.util.rng import RngService
-from repro.util.validate import ValidationError, check_probability
+from repro.util.validate import (
+    ValidationError,
+    check_non_negative,
+    check_probability,
+)
 
 if TYPE_CHECKING:
     from repro.core.lane import EpisodeOutcome
@@ -146,14 +150,21 @@ class ReassignParams:
         check_probability("rho", self.rho)
         if self.alpha == 0:
             raise ValidationError("alpha must be > 0")
-        if self.episodes < 1:
-            raise ValidationError("episodes must be >= 1")
+        for name in ("episodes", "state_buckets"):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, int)
+                or value < 1
+            ):
+                raise ValidationError(
+                    f"{name} must be an integer >= 1, got {value!r}"
+                )
+        check_non_negative("qtable_init_scale", self.qtable_init_scale)
         if self.rule not in ("qlearning", "sarsa", "doubleq"):
             raise ValidationError(
                 f"rule must be qlearning/sarsa/doubleq, got {self.rule!r}"
             )
-        if self.state_buckets < 1:
-            raise ValidationError("state_buckets must be >= 1")
         if self.reward_memory not in ("full", "episode"):
             raise ValidationError(
                 f"reward_memory must be full/episode, got {self.reward_memory!r}"

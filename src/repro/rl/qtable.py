@@ -129,8 +129,7 @@ class QTable:
         shard_rows: int = DEFAULT_SHARD_ROWS,
         shard_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        if init_scale < 0:
-            raise ValidationError("init_scale must be >= 0")
+        init_scale = check_non_negative("init_scale", init_scale)
         if backend not in _BACKENDS:
             allowed = ", ".join(repr(b) for b in sorted(_BACKENDS))
             raise ValidationError(
@@ -142,7 +141,7 @@ class QTable:
                 f"got backend={backend!r}"
             )
         self._backend = backend
-        self._init_scale = float(init_scale)
+        self._init_scale = init_scale
         self._rng: np.random.Generator = RngService(seed).stream("qtable-init")
         if backend == "dict":
             self._values: Dict[Tuple[State, Action], float] = {}

@@ -79,14 +79,16 @@ __all__ = [
 _TERMINAL_STATES = ("successfully finished", "finished with failure")
 
 #: Cap on the content-addressed (ready, idle) -> pairs-tuple interner.
-#: A learning run on a mid-size workflow cycles through a few thousand
-#: distinct configurations, and the batched engine shares one interner
-#: across every run of a kernel group — B exploring runs multiply
-#: the live set, and FIFO eviction churns tuple identities, which in
-#: turn misses the Q-table's id()-keyed action-slice memo.  Sizing the
-#: interner well above the multi-run working set keeps both caches
-#: hot (each entry is one small tuple of int pairs, so worst-case
-#: memory stays in the tens of megabytes).
+#: Its users are the scheduler-object path (``action_pairs``) and the
+#: fused lane's general body; the lane's lean body reads a Q mirror and
+#: builds no pair tuples.  A learning run on a mid-size workflow cycles
+#: through a few thousand distinct configurations, runs that share a
+#: kernel share the interner, and FIFO eviction churns tuple identities,
+#: which in turn misses the Q-table's id()-keyed action-slice memo.
+#: Sizing the interner well above that working set keeps both caches
+#: hot.  An entry holds the whole ready × idle product, so memory grows
+#: with the fleet: 33,531 configurations of the paper grid's 64-vCPU
+#: fleet held 1.6 million pairs, about 130 MB.
 _PAIRS_INTERN_LIMIT = 65536
 
 
@@ -189,10 +191,10 @@ class EpisodeState:
             Tuple[Tuple[int, int], ...],
         ] = {}
         # busy-bitmask -> capacity-idle tuple memo (bit i set = vms[i]
-        # full).  The fused lane stepper (repro.core.lane) maintains
-        # the mask incrementally and swaps idle tuples by lookup instead
-        # of rebuilding them; at most 2^len(vms) entries, content-keyed,
-        # so it also survives scrub().
+        # full).  The fused lane's general body (repro.core.lane)
+        # maintains the mask incrementally and swaps idle tuples by
+        # lookup instead of rebuilding them; at most 2^len(vms) entries,
+        # content-keyed, so it also survives scrub().
         self._idle_by_mask: Dict[int, Tuple[Vm, ...]] = {}
         # RNG streams, re-derived from the per-episode seed in reset()
         self.rng_fluct: np.random.Generator

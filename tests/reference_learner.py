@@ -13,11 +13,21 @@ other rather than the stepper against itself.
 ``scheduler_state(scheduler)`` is everything a learning run leaves on
 its scheduler that later calls read: the Q-table, the reward model's
 history and smoothed reward, the policy generator and the episode
-counters.
+counters.  It also pins how the table got there — the lazy-init
+stream's generator state, the known-entry count and, on the dense
+backends, the order states and actions were interned in — so two
+engines that first-touch entries in a different order cannot compare
+equal by landing on the same JSON.
+
+``batch_learners(specs)`` runs ``learn_batch`` and also returns the
+learners it ran, so their scheduler state can be compared too.
 """
 
+from unittest import mock
+
+from repro.core.batch import learn_batch
 from repro.core.episode import EpisodeRecord, LearningResult
-from repro.core.reassign import ReassignScheduler
+from repro.core.reassign import ReassignLearner, ReassignScheduler
 from repro.schedulers.base import SchedulingPlan
 from repro.util.rng import RngService
 
@@ -73,8 +83,10 @@ def reference_learn(learner):
 def scheduler_state(sched):
     """Comparable snapshot of the state a learning run leaves behind."""
     reward = sched.reward
-    return {
+    table = sched.qtable
+    state = {
         "qtable": sched.qtable_json(),
+        "qtable_init_rng": table._rng.bit_generator.state,
         "reward_snapshot": reward.snapshot(),
         "global_index": reward.global_index(),
         "index_std": reward.index_std(),
@@ -83,3 +95,22 @@ def scheduler_state(sched):
         "episode_steps": sched.episode_steps,
         "episode_mean_reward": sched.episode_mean_reward,
     }
+    if table.backend != "dict":
+        state["qtable_n_known"] = table._n_known
+        state["qtable_states"] = list(table._states)
+        state["qtable_actions"] = list(table._actions)
+    return state
+
+
+def batch_learners(specs):
+    """``learn_batch(specs)`` and the learners it ran, in spec order."""
+    learners = []
+    learn = ReassignLearner.learn
+
+    def recording(self):
+        learners.append(self)
+        return learn(self)
+
+    with mock.patch.object(ReassignLearner, "learn", recording):
+        results = learn_batch(specs)
+    return results, learners

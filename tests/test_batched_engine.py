@@ -7,7 +7,8 @@ contract is byte-equality against the object-path reference
 stepper the runs take:
 
 - a Hypothesis property learns random layered DAGs batched and serial
-  and demands identical ``LearningResult.to_json()``;
+  and demands identical ``LearningResult.to_json()`` and scheduler
+  state (``tests/reference_learner.scheduler_state``);
 - directed tests sweep the batch width over B ∈ {1, 2, 7, 32}, cover
   the shard backend, ineligible-lane fallbacks (SARSA / Double-Q /
   bucketed states) mixed into one batch, and the sweep fingerprint
@@ -29,7 +30,11 @@ from repro.experiments.environments import fleet_for
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
-from tests.reference_learner import reference_learn
+from tests.reference_learner import (
+    batch_learners,
+    reference_learn,
+    scheduler_state,
+)
 
 
 def random_dag(seed: int, n_min: int = 4, n_max: int = 10) -> Workflow:
@@ -59,9 +64,9 @@ def _spec(wf, seed, **params):
     )
 
 
-def _serial(spec: BatchSpec, **learner_kw):
-    """The object-path reference for one spec."""
-    return reference_learn(ReassignLearner(
+def _reference(spec: BatchSpec, **learner_kw):
+    """The object-path reference run for one spec, and its learner."""
+    learner = ReassignLearner(
         spec.workflow,
         spec.vms,
         spec.params,
@@ -69,7 +74,25 @@ def _serial(spec: BatchSpec, **learner_kw):
         max_attempts=spec.max_attempts,
         single_slot_learning=spec.single_slot_learning,
         **learner_kw,
-    ))
+    )
+    return reference_learn(learner), learner
+
+
+def _serial(spec: BatchSpec, **learner_kw):
+    """The object-path reference for one spec."""
+    return _reference(spec, **learner_kw)[0]
+
+
+def _assert_batch_matches_serial(specs):
+    """Batched results and scheduler states equal the reference's."""
+    results, learners = batch_learners(specs)
+    assert len(results) == len(learners) == len(specs)
+    for spec, got, fused in zip(specs, results, learners):
+        want, reference = _reference(spec)
+        assert _fp(got) == _fp(want)
+        assert scheduler_state(fused.scheduler) == scheduler_state(
+            reference.scheduler
+        )
 
 
 def _fp(result):
@@ -91,9 +114,7 @@ class TestBatchedVsSerial:
             _spec(wf, seed + 1, alpha=0.9, epsilon=0.5),
             _spec(random_dag(seed + 7), seed, alpha=0.1, epsilon=0.1),
         ]
-        batched = learn_batch(specs)
-        for spec, got in zip(specs, batched):
-            assert _fp(got) == _fp(_serial(spec))
+        _assert_batch_matches_serial(specs)
 
     @pytest.mark.parametrize("width", [1, 2, 7, 32])
     def test_batch_widths_bitwise_equal(self, width):
@@ -104,10 +125,7 @@ class TestBatchedVsSerial:
                   alpha=grid[k % 4][0], epsilon=grid[k % 4][1])
             for k in range(width)
         ]
-        batched = learn_batch(specs)
-        assert len(batched) == width
-        for spec, got in zip(specs, batched):
-            assert _fp(got) == _fp(_serial(spec))
+        _assert_batch_matches_serial(specs)
 
     def test_shard_backend_lane_bitwise_equal(self):
         wf = montage(25, seed=2)
@@ -117,7 +135,7 @@ class TestBatchedVsSerial:
         ]
         shard_lane, array_lane = learn_batch(specs)
         assert shard_lane.qtable_json == array_lane.qtable_json
-        assert _fp(shard_lane) == _fp(_serial(specs[0]))
+        _assert_batch_matches_serial(specs)
 
     def test_ineligible_lanes_fall_back_and_still_match(self):
         wf = random_dag(42, n_min=5, n_max=8)
@@ -131,9 +149,7 @@ class TestBatchedVsSerial:
         assert fast_lane_eligible(specs[0].params)
         for spec in specs[1:]:
             assert not fast_lane_eligible(spec.params)
-        batched = learn_batch(specs)
-        for spec, got in zip(specs, batched):
-            assert _fp(got) == _fp(_serial(spec))
+        _assert_batch_matches_serial(specs)
 
     def test_simulated_timing_matches_serial_clock(self):
         from repro.core.reassign import SimulatedLearningClock

@@ -36,6 +36,26 @@ class TestParams:
         with pytest.raises(ValidationError):
             ReassignParams(rule="dqn")
 
+    @pytest.mark.parametrize(
+        "make, kwargs",
+        [
+            (ReassignParams, dict(episodes=2.5)),
+            (ReassignParams, dict(episodes=True)),
+            (ReassignParams, dict(state_buckets=1.5)),
+            (ReassignParams, dict(state_buckets=True)),
+            (ReassignParams, dict(qtable_init_scale=float("nan"))),
+            (ReassignParams, dict(qtable_init_scale=float("inf"))),
+            (ReassignParams, dict(qtable_init_scale=-1.0)),
+            (QTable, dict(init_scale=float("nan"))),
+            (QTable, dict(init_scale=float("inf"))),
+        ],
+    )
+    def test_learning_values_rejected_at_construction(self, make, kwargs):
+        # each used to be accepted, then fail deep in learn() or
+        # silently change the state space
+        with pytest.raises(ValidationError):
+            make(**kwargs)
+
     def test_label(self):
         assert ReassignParams(0.1, 1.0, 0.5).label() == "a=0.1 g=1 e=0.5"
 

@@ -20,7 +20,6 @@ consistent with single-run luck.
 """
 
 import numpy as np
-import pytest
 
 from repro.experiments import default_episodes, run_paper_sweep
 

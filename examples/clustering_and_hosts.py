@@ -61,7 +61,7 @@ def main() -> None:
     print("\nPart 2 — host placement and a correlated host failure")
     hosts = [Host(0, pcpus=12, ram_gb=48.0), Host(1, pcpus=12, ram_gb=48.0)]
     pool = HostPool(hosts, policy="first-fit")
-    placement = pool.place_fleet(fleet)
+    pool.place_fleet(fleet)
     for host in hosts:
         resident = sorted(vm.id for vm in host.vms)
         print(f"  host {host.id}: VMs {resident} "

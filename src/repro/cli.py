@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from repro.core.reassign import ReassignLearner, ReassignParams
 from repro.dag.analysis import profile_dag
@@ -44,6 +44,7 @@ from repro.scicumulus.xml_spec import workflow_to_xml
 from repro.sim.kernel import EpisodeKernel
 from repro.sim.trace import gantt_text
 from repro.util.tables import format_hms, render_table
+from repro.util.validate import ValidationError
 from repro.workflows.registry import available_workflows, make_workflow
 
 __all__ = ["main", "build_parser"]
@@ -74,17 +75,23 @@ def _make_online_scheduler(name: str, seed: int):
     return factory()
 
 
-def _batch_arg(value: str) -> int:
-    """Parse/validate ``--batch``: a clean error instead of a traceback."""
-    try:
-        batch = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"batch must be an integer >= 1, got {value!r}"
-        )
-    if batch < 1:
-        raise argparse.ArgumentTypeError(f"batch must be >= 1, got {batch}")
-    return batch
+def _count_arg(name: str) -> Callable[[str], int]:
+    """An argparse type for an integer >= 1: a clean error, no traceback."""
+
+    def parse(value: str) -> int:
+        try:
+            count = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be an integer >= 1, got {value!r}"
+            )
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"{name} must be >= 1, got {count}"
+            )
+        return count
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_batch_arg(p, what: str):
         p.add_argument(
-            "--batch", type=_batch_arg, default=8, metavar="B",
+            "--batch", type=_count_arg("batch"), default=8, metavar="B",
             help=f"learning runs per task: up to B {what} share one "
                  "simulation kernel and are learned one after another "
                  "(results are bit-identical for every B; 1 = one run per "
@@ -216,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the generated arrival schedule here")
     p.add_argument("--metrics-out", metavar="PATH",
                    help="write the metrics JSON (with per-job records) here")
-    p.add_argument("--replicas", type=int, default=1, metavar="N",
+    p.add_argument("--replicas", type=_count_arg("replicas"), default=1,
+                   metavar="N",
                    help="independent derived-seed service runs")
     add_workers_arg(p)
 
@@ -501,10 +509,18 @@ _COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Invalid input (a :class:`ValidationError` from any layer) is
+    reported like a bad argument: usage, the message, exit code 2.
+    Internal faults keep their tracebacks.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValidationError as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":  # pragma: no cover

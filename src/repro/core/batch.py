@@ -7,16 +7,17 @@ seeds differ.  :func:`learn_batch` runs them as a loop of
 calls that share **one** :class:`~repro.sim.kernel.EpisodeKernel` per
 kernel-fingerprint group: the frozen DAG indexes and nominal estimate
 caches are built once per group and amortized across its runs instead
-of once per run.  The lane's lean body keeps its Q-values in a per-run
+of once per run.  The fused lane keeps its Q-values in a per-run
 mirror and builds no action-pair tuples, so it does not share the
-kernel's pair interner across a group's runs; only the object path and
-the lane's general body use that interner.
+kernel's pair interner across a group's runs; only the object path
+uses that interner.
 
 Each run takes whatever path ``learn()`` takes for its spec — the fused
-lane stepper (:mod:`repro.core.lane`) for the paper's rule, the
-scheduler-object loop for SARSA / Double-Q / state buckets / the dict
-backend.  The runs go one after the other: lockstep interleaving
-measured no faster than this loop on the paper grid.
+lane stepper (:mod:`repro.core.lane`) for the paper's rule on a lean
+kernel, the scheduler-object loop for SARSA / Double-Q / state buckets /
+the dict backend and for every non-lean kernel.  The runs go one after
+the other: lockstep interleaving measured no faster than this loop on
+the paper grid.
 
 **Bit-identity contract (non-negotiable).**  For every spec, the
 returned :class:`~repro.core.episode.LearningResult` — every episode
@@ -27,7 +28,7 @@ the final-plan rule) produces for the same spec, for any batch size
 and for every Q-table backend.  Sharing the kernel is safe because
 episodes reset its mutable state at entry and scrub it on exceptions,
 and its cross-run shared structures — the nominal estimate memos and,
-for runs off the lean body, the action-pair interner — are
+for runs on the object path, the action-pair interner — are
 content-addressed caches whose hits return identical objects/values
 regardless of who warmed them.
 Pinned by ``tests/test_batched_engine.py``.

@@ -577,14 +577,16 @@ class ReassignLearner:
         per-episode seeds (and therefore every simulated number) are
         identical to the historical one-simulator-per-episode path.
 
-        Runs the fused lane stepper covers
-        (:func:`~repro.core.lane.fast_lane_eligible`) with the paper's
-        own reward drive every episode through
-        :func:`repro.core.lane._drive_episode`, all but the last in lite
-        mode, over this learner's own Q-table and policy stream; the
-        reward state is written back to ``self.scheduler`` at the end.
-        The stepper is byte-identical to ``EpisodeKernel.run_episode``
-        driving ``self.scheduler``, which every other run still does.
+        The path is chosen once per run.  Runs the fused lane stepper
+        covers (:func:`~repro.core.lane.fast_lane_eligible`) with the
+        paper's own reward, on a lean kernel
+        (:attr:`~repro.sim.kernel.EpisodeKernel.lean`), drive every
+        episode through :func:`repro.core.lane._drive_episode`, all but
+        the last in lite mode, over this learner's own Q-table and
+        policy stream; the reward state is written back to
+        ``self.scheduler`` at the end.  The stepper is byte-identical to
+        ``EpisodeKernel.run_episode`` driving ``self.scheduler``, which
+        every other run does.
         """
         from repro.core.lane import _drive_episode, _FastLane, fast_lane_eligible
 
@@ -595,23 +597,25 @@ class ReassignLearner:
         fused = (
             fast_lane_eligible(self.params)
             and type(sched.reward) is PerformanceReward
+            and kernel.lean
         )
-        lane = _FastLane(sched) if fused else None
         rng = RngService(self.seed)
         n = self.params.episodes
         episodes: List[EpisodeRecord] = []
         started = self._clock()
+        lane = _FastLane(sched, kernel) if fused else None
         result: EpisodeOutcome
         for episode_idx in range(n):
-            seed = rng.spawn_seed(f"episode:{episode_idx}")
             if lane is None:
-                result = kernel.run_episode(sched, seed)
+                result = kernel.run_episode(
+                    sched, rng.spawn_seed(f"episode:{episode_idx}")
+                )
                 steps = sched.episode_steps
                 mean_reward = sched.episode_mean_reward
                 final_reward = sched.episode_final_reward
             else:
                 result = _drive_episode(
-                    kernel, lane, seed, lite=episode_idx + 1 < n
+                    kernel, lane, lite=episode_idx + 1 < n
                 )
                 steps = lane.steps
                 mean_reward = lane.reward_sum / steps if steps else 0.0

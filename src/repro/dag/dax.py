@@ -11,6 +11,7 @@ format.
 
 from __future__ import annotations
 
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from typing import Dict, List, Union
@@ -35,6 +36,22 @@ def _job_numeric_id(raw: str) -> int:
     if not digits:
         raise ValidationError(f"cannot derive a numeric id from job id {raw!r}")
     return int(digits)
+
+
+def _number(raw: str, job: str, attribute: str) -> float:
+    """A DAX numeric attribute as a finite float >= 0."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValidationError(
+            f"job {job!r}: {attribute} {raw!r} is not a number"
+        ) from None
+    if not math.isfinite(value) or value < 0:
+        raise ValidationError(
+            f"job {job!r}: {attribute} must be a finite number >= 0, "
+            f"got {raw!r}"
+        )
+    return value
 
 
 def parse_dax(text: str, name: str = "dax-workflow") -> Workflow:
@@ -63,7 +80,7 @@ def parse_dax(text: str, name: str = "dax-workflow") -> Workflow:
         runtime_attr = elem.get("runtime")
         if runtime_attr is None:
             raise ValidationError(f"job {raw_id!r} missing runtime attribute")
-        runtime = float(runtime_attr)
+        runtime = _number(runtime_attr, raw_id, "runtime")
 
         inputs: List[File] = []
         outputs: List[File] = []
@@ -73,7 +90,9 @@ def parse_dax(text: str, name: str = "dax-workflow") -> Workflow:
             fname = uses.get("file") or uses.get("name")
             if fname is None:
                 raise ValidationError(f"uses element in job {raw_id!r} has no file")
-            size = float(uses.get("size", "0"))
+            size = _number(
+                uses.get("size", "0"), raw_id, f"size of {fname!r}"
+            )
             link = (uses.get("link") or "").lower()
             f = File(name=fname, size_bytes=size)
             if link == "input":

@@ -89,7 +89,7 @@ def random_layered_dag(
         )
 
     # drop empty trailing layers (possible when n_layers ~ n)
-    layers = [l for l in layers if l]
+    layers = [layer for layer in layers if layer]
 
     for upper, lower in zip(layers, layers[1:]):
         for child in lower:

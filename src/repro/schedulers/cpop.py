@@ -81,7 +81,6 @@ class CpopScheduler(StaticScheduler):
         entries = workflow.entries()
         if not entries:
             return []
-        top = max(priority.values())
         start = max(entries, key=lambda n: (priority[n], -n))
         path = [start]
         current = start

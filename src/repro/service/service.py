@@ -15,7 +15,7 @@ the repository.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.runner.parallel import ParallelRunner, Task
 from repro.service.arrivals import ArrivalGenerator, PoissonArrivals

@@ -118,7 +118,7 @@ class Datacenter:
         return [self._leases[k] for k in sorted(self._leases)]
 
     def active_vms(self) -> List[Vm]:
-        return [l.vm for l in self.leases if l.active]
+        return [lease.vm for lease in self.leases if lease.active]
 
     def bill(self, now: float, per_second_billing: bool = False) -> float:
         """Total cost of all leases up to ``now`` (USD).

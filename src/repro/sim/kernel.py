@@ -79,16 +79,16 @@ __all__ = [
 _TERMINAL_STATES = ("successfully finished", "finished with failure")
 
 #: Cap on the content-addressed (ready, idle) -> pairs-tuple interner.
-#: Its users are the scheduler-object path (``action_pairs``) and the
-#: fused lane's general body; the lane's lean body reads a Q mirror and
-#: builds no pair tuples.  A learning run on a mid-size workflow cycles
-#: through a few thousand distinct configurations, runs that share a
-#: kernel share the interner, and FIFO eviction churns tuple identities,
-#: which in turn misses the Q-table's id()-keyed action-slice memo.
-#: Sizing the interner well above that working set keeps both caches
-#: hot.  An entry holds the whole ready × idle product, so memory grows
-#: with the fleet: 33,531 configurations of the paper grid's 64-vCPU
-#: fleet held 1.6 million pairs, about 130 MB.
+#: Its one user is the scheduler-object path (``action_pairs``); the
+#: fused lane reads a Q mirror and builds no pair tuples.  A learning
+#: run on a mid-size workflow cycles through a few thousand distinct
+#: configurations, runs that share a kernel share the interner, and
+#: FIFO eviction churns tuple identities, which in turn misses the
+#: Q-table's id()-keyed action-slice memo.  Sizing the interner well
+#: above that working set keeps both caches hot.  An entry holds the
+#: whole ready × idle product, so memory grows with the fleet: 33,531
+#: configurations of the paper grid's 64-vCPU fleet held 1.6 million
+#: pairs, about 130 MB.
 _PAIRS_INTERN_LIMIT = 65536
 
 
@@ -190,12 +190,6 @@ class EpisodeState:
             Tuple[Tuple[int, ...], Tuple[int, ...]],
             Tuple[Tuple[int, int], ...],
         ] = {}
-        # busy-bitmask -> capacity-idle tuple memo (bit i set = vms[i]
-        # full).  The fused lane's general body (repro.core.lane)
-        # maintains the mask incrementally and swaps idle tuples by
-        # lookup instead of rebuilding them; at most 2^len(vms) entries,
-        # content-keyed, so it also survives scrub().
-        self._idle_by_mask: Dict[int, Tuple[Vm, ...]] = {}
         # RNG streams, re-derived from the per-episode seed in reset()
         self.rng_fluct: np.random.Generator
         self.rng_fail: np.random.Generator
@@ -283,21 +277,22 @@ class EpisodeState:
             )
 
     def reset_fast(self) -> None:
-        """Stream-free episode reset for draw-free kernels.
+        """Stream-free episode reset for lean kernels.
 
         Bit-identical to :meth:`reset` *except* the four per-episode
         RNG streams are not re-derived, so it is only valid when
-        ``kernel.draw_free`` is true — no model ever reads them (the
+        ``kernel.lean`` is true — no model ever reads them (the
         attributes keep the previous episode's generators, which a
-        draw-free episode never touches).  Used by the fused lane
-        stepper (:mod:`repro.core.lane`), where stream construction
-        otherwise dominates the per-episode reset cost.
+        lean episode never touches), and no VM boots, so no event is
+        scheduled.  Used by the fused lane stepper
+        (:mod:`repro.core.lane`), where stream construction otherwise
+        dominates the per-episode reset cost.
         """
         kernel = self._kernel
-        if not kernel.draw_free:
+        if not kernel.lean:
             raise ValidationError(
-                "reset_fast requires a draw-free kernel "
-                "(see EpisodeKernel.draw_free); use reset(seed)"
+                "reset_fast requires a lean kernel "
+                "(see EpisodeKernel.lean); use reset(seed)"
             )
         self.scrub()
         ac_by_id = kernel._ac_by_id
@@ -305,11 +300,6 @@ class EpisodeState:
             ac_by_id[i].state = ActivationState.READY
             self._ready_ids.append(i)  # entry_ids are pre-sorted
             self.ready_time[i] = 0.0
-        for vm in kernel.vms:
-            boot = vm.type.boot_time
-            vm.available_at = boot
-            if boot > 0:
-                self.queue.schedule(boot, EventType.VM_READY, vm.id)
 
     # -- the paper's workflow-state predicate, O(1) ----------------------
 
@@ -654,19 +644,6 @@ class EpisodeKernel:
         )
         self.max_attempts = int(max_attempts)
         self.horizon = check_positive("horizon", horizon)
-        # A "draw-free" environment never reads any of the four
-        # per-episode RNG streams: no failures/migrations/revocations,
-        # and a fluctuation model known to be deterministic.  Exact type
-        # checks, not isinstance — a subclass may override behaviour and
-        # start drawing.  Consumers (the fused lane stepper) use this
-        # to take the stream-free ``EpisodeState.reset_fast`` path.
-        self.draw_free: bool = (
-            type(self.failures) is NoFailures
-            and type(self.migrations) is NoMigrations
-            and type(self.revocations) is NoRevocations
-            and type(self.fluctuation)
-            in (NoFluctuation, BurstThrottleFluctuation)
-        )
 
         # frozen topology indexes (id -> sorted neighbour tuples)
         wf = self.workflow
@@ -698,6 +675,25 @@ class EpisodeKernel:
         else:
             self.estimates = NominalEstimateCache(self.vms)
 
+        # A lean kernel is the regime the fused lane stepper
+        # (repro.core.lane) covers.  It is draw-free: it never reads any
+        # of the four per-episode RNG streams (no failures, migrations
+        # or revocations, and a fluctuation model known to be
+        # deterministic).  It stages through the exact shared-storage
+        # network, and no VM boots, so an episode's only events are
+        # activation completions.  Exact type checks, not isinstance —
+        # a subclass may override behaviour and start drawing.  Every
+        # input is covered by kernel_fingerprint.
+        self._lean = (
+            type(self.failures) is NoFailures
+            and type(self.migrations) is NoMigrations
+            and type(self.revocations) is NoRevocations
+            and type(self.fluctuation)
+            in (NoFluctuation, BurstThrottleFluctuation)
+            and self._shared_staging
+            and all(vm.type.boot_time == 0 for vm in self.vms)
+        )
+
         self._state = EpisodeState(self)
         self._ctx = SimulationContext(self, self._state)
 
@@ -706,6 +702,15 @@ class EpisodeKernel:
     @property
     def n_activations(self) -> int:
         return len(self.activations)
+
+    @property
+    def lean(self) -> bool:
+        """Whether the fused lane stepper can run this kernel's episodes.
+
+        Draw-free, shared staging and no VM boot time; fixed at
+        construction (see ``__init__``).
+        """
+        return self._lean
 
     def activation(self, activation_id: int) -> Activation:
         """The kernel's activation with the given id."""

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from repro.analysis.cache import AnalysisCache, ruleset_fingerprint
+from repro.analysis.cache import ruleset_fingerprint
 from repro.analysis.engine import (
     BaselineError,
     analyze_project,

@@ -1,7 +1,5 @@
 """Tests for repro.cli — the command-line interface."""
 
-import json
-
 import pytest
 
 from repro.cli import build_parser, main
@@ -24,6 +22,29 @@ class TestParser:
     def test_vcpus_choices_enforced(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--vcpus", "48"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--replicas", "0"], "replicas must be >= 1, got 0"),
+            (["serve", "--replicas", "-3"], "replicas must be >= 1, got -3"),
+            (["learn", "--size", "5"], "at least 11 activations, got 5"),
+            (["serve", "--rate", "nan"], "rate must be finite, got nan"),
+            (
+                ["table", "2", "--episodes", "0"],
+                "episodes must be an integer >= 1, got 0",
+            ),
+        ],
+    )
+    def test_bad_input_is_a_clean_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert ": error: " in err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestWorkflowCommand:

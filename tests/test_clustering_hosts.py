@@ -2,18 +2,15 @@
 host layer (repro.sim.host)."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.dag.clustering import (
-    ClusteredWorkflow,
-    horizontal_clustering,
-    vertical_clustering,
-)
+from repro.dag import random_layered_dag
+from repro.dag.clustering import horizontal_clustering, vertical_clustering
 from repro.schedulers import HeftScheduler, PlanFollowingScheduler
 from repro.sim import WorkflowSimulator, ZeroCostNetwork, t2_fleet
 from repro.sim.host import Host, HostPool, host_failure_revocations
 from repro.sim.vm import VM_TYPES, Vm
 from repro.util.validate import ValidationError
-from repro.workflows import montage
 
 
 class TestHorizontalClustering:
@@ -226,11 +223,6 @@ class TestHostFailure:
             r.vm_id for r in result.records if r.start_time >= 20.0
         }
         assert late_vms.isdisjoint(resident)
-
-
-from hypothesis import given, settings, strategies as st
-
-from repro.dag import random_layered_dag
 
 
 class TestClusteringProperties:

@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.core.sweep import best_record, sweep_parameters
 from repro.rl.qtable import QTable
-from repro.sim import NoFluctuation, WorkflowSimulator, t2_fleet
+from repro.sim import NoFluctuation, WorkflowSimulator
 from repro.util.validate import ValidationError
 from repro.workflows import montage
 
@@ -80,7 +80,6 @@ class TestSchedulerEpisode:
     def test_learning_off_freezes_qtable(self, montage25, fleet16, params):
         table = QTable(init_scale=0.0, seed=1)
         table.set("available", (0, 0), 5.0)
-        before = table.to_json()
         sched = ReassignScheduler(params, qtable=table, seed=1, learning=False)
         WorkflowSimulator(montage25, fleet16, sched, seed=0).run()
         # greedy replay reads but never writes persisted values

@@ -6,7 +6,7 @@ from repro.core import ReassignLearner, ReassignParams, ReassignScheduler
 from repro.rl import CostAwarePerformanceReward, PerformanceReward
 from repro.scicumulus import CloudProfile, MpiConfig, MpiOverheadNetwork, execute_online
 from repro.schedulers import GreedyOnlineScheduler
-from repro.sim import SharedStorageNetwork, t2_fleet
+from repro.sim import SharedStorageNetwork
 from repro.util.validate import ValidationError
 
 from tests.conftest import make_activation

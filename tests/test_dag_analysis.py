@@ -51,11 +51,8 @@ class TestCriticalPath:
         g = nx.DiGraph()
         g.add_nodes_from(montage25.activation_ids)
         g.add_edges_from(montage25.edges)
-        # node-weighted longest path via edge reweighting on a super-source
-        expected = 0.0
-        for node in g.nodes:
-            # brute force via nx dag_longest_path on runtime-weighted edges
-            pass
+        # node-weighted longest path by dynamic programming in topological
+        # order
         dist = {}
         for node in nx.topological_sort(g):
             preds = list(g.predecessors(node))

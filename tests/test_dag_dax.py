@@ -60,6 +60,26 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse_dax('<adag><job id="ID1" name="x"/></adag>')
 
+    @pytest.mark.parametrize(
+        "old, new, attribute",
+        [
+            ('runtime="10.9"', 'runtime="abc"', "runtime"),
+            ('runtime="10.9"', 'runtime="-5"', "runtime"),
+            ('runtime="10.9"', 'runtime="nan"', "runtime"),
+            ('size="300000"', 'size="abc"', "size of 'fit.tbl'"),
+            ('size="300000"', 'size="-1"', "size of 'fit.tbl'"),
+        ],
+    )
+    def test_bad_numeric_attribute_names_job(self, old, new, attribute):
+        with pytest.raises(ValidationError) as info:
+            parse_dax(SAMPLE_DAX.replace(old, new, 1))
+        assert "'ID00001'" in str(info.value)
+        assert attribute in str(info.value)
+
+    def test_zero_runtime_is_clamped(self):
+        wf = parse_dax(SAMPLE_DAX.replace('runtime="10.9"', 'runtime="0"'))
+        assert wf.activation(1).runtime == 1e-9
+
     def test_unknown_child_ref(self):
         text = SAMPLE_DAX.replace('ref="ID00001"', 'ref="ID99999"', 1)
         with pytest.raises(ValidationError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ReassignLearner, ReassignParams
 from repro.schedulers import GreedyOnlineScheduler
-from repro.sim import WorkflowSimulator, t2_fleet
+from repro.sim import WorkflowSimulator
 from repro.util.validate import ValidationError
 from repro.workflows import (
     cybershake,

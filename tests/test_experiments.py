@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.reassign import ReassignParams
 from repro.experiments import (
     TABLE1_FLEETS,
     default_episodes,

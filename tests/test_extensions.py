@@ -14,9 +14,9 @@ from repro.experiments.characterization import (
 )
 from repro.rl import EpsilonGreedyPolicy, QLambdaAgent, QLearningAgent
 from repro.schedulers import GreedyOnlineScheduler, LocalityScheduler
-from repro.sim import SharedStorageNetwork, WorkflowSimulator, t2_fleet
+from repro.sim import SharedStorageNetwork, WorkflowSimulator
 from repro.util.validate import ValidationError
-from repro.workflows import cybershake, montage
+from repro.workflows import cybershake
 
 from tests.test_rl_agents import ChainEnv, TwoArmBandit
 
@@ -112,7 +112,6 @@ class TestRandomDag:
 
     def test_layer_connectivity(self):
         wf = random_layered_dag(40, n_layers=5, seed=1)
-        levels = wf.levels()
         # every non-entry node has at least one parent
         entries = set(wf.entries())
         for ac in wf:

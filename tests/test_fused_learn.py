@@ -1,11 +1,12 @@
 """``ReassignLearner.learn()`` on the fused lane stepper.
 
 ``learn()`` drives eligible runs (plain Q-learning, one state bucket, a
-dense Q-table, the paper's own ``PerformanceReward``) through
-``repro.core.lane`` and everything else through the scheduler-object
-loop.  Each case below builds two identical learners, runs one through
-``learn()`` and the other through the object-path reference
-(``tests/reference_learner.py``), and demands two things:
+dense Q-table, the paper's own ``PerformanceReward``) on a lean kernel
+(``EpisodeKernel.lean``: draw-free, shared staging, no VM boot time)
+through ``repro.core.lane`` and everything else through the
+scheduler-object loop.  Each case below builds two identical learners,
+runs one through ``learn()`` and the other through the object-path
+reference (``tests/reference_learner.py``), and demands two things:
 
 - the ``LearningResult`` JSON matches byte for byte (learning time
   aside, unless both run on the simulated clock);
@@ -15,24 +16,33 @@ loop.  Each case below builds two identical learners, runs one through
   ``extract_plan()`` and the online ablation all read it afterwards.
 
 A counting wrapper around ``EpisodeKernel.run_episode`` shows which
-path ran: the fused stepper never calls it.
+path ran: the fused stepper never calls it.  An interrupted learn must
+leave its kernel reusable on either path.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.core.lane import _QMirror
 from repro.core.reassign import (
     ReassignLearner,
     ReassignParams,
+    ReassignScheduler,
     SimulatedLearningClock,
 )
+from repro.dag.activation import ActivationState
 from repro.experiments.environments import fleet_for, fleet_spec_for
 from repro.rl.cost_reward import CostAwarePerformanceReward
 from repro.rl.reward import PerformanceReward
 from repro.scicumulus.swfms import SciCumulusRL
 from repro.sim.failures import BernoulliFailures
+from repro.sim.fluctuation import GaussianFluctuation, NoFluctuation
 from repro.sim.kernel import EpisodeKernel
+from repro.sim.migration import PeriodicMigrations
+from repro.sim.network import SharedStorageNetwork, ZeroCostNetwork
+from repro.sim.vm import Vm
 from repro.workflows.montage import montage
 
 from tests.reference_learner import reference_learn, scheduler_state
@@ -81,6 +91,51 @@ def _learner(episodes=4, seed=3, learner_kw=None, **params):
         seed=seed,
         **(learner_kw or {}),
     )
+
+
+def _booting_fleet():
+    """The 16-vCPU fleet with a 30 s boot time on every VM type."""
+    return [
+        Vm(vm.id, dataclasses.replace(vm.type, boot_time=30.0))
+        for vm in fleet_for(16)
+    ]
+
+
+#: learner keyword arguments per kernel regime, and whether it is lean
+_REGIMES = {
+    "burst-throttle": ({}, True),
+    "no-fluctuation": (dict(fluctuation=NoFluctuation()), True),
+    "shared-storage": (dict(network=SharedStorageNetwork()), True),
+    "failures": (
+        dict(failures=BernoulliFailures(0.01), max_attempts=3), False
+    ),
+    "migrations": (
+        dict(migrations=PeriodicMigrations(mean_interval=100.0)), False
+    ),
+    "gaussian": (dict(fluctuation=GaussianFluctuation(0.2)), False),
+    "zero-cost-network": (dict(network=ZeroCostNetwork()), False),
+    "boot-time": (dict(fleet=_booting_fleet), False),
+}
+
+
+def _regime_learner(regime, episodes=4):
+    learner_kw = dict(_REGIMES[regime][0])
+    fleet = learner_kw.pop("fleet", lambda: fleet_for(16))
+    return lambda: ReassignLearner(
+        montage(25, seed=1),
+        fleet(),
+        ReassignParams(episodes=episodes),
+        seed=3,
+        clock=SimulatedLearningClock(),
+        **learner_kw,
+    )
+
+
+def _assert_pristine(kernel):
+    assert all(
+        ac.state is ActivationState.LOCKED for ac in kernel.activations
+    )
+    assert all(not vm.running for vm in kernel.vms)
 
 
 class TestFusedLearnMatchesObjectPath:
@@ -195,9 +250,30 @@ class TestFusedLearnMatchesObjectPath:
         )
         fused, got, reference, want = _pair(make)
         assert not got.episodes[-1].final_state.startswith("successfully")
-        # fused: one greedy replay; reference: 3 episodes + greedy replay
-        assert episode_calls == [False, True, True, True, False]
+        # a failure model is not lean, so learn() takes the object path
+        # too: each side runs 3 episodes, then one greedy replay
+        assert episode_calls == [True, True, True, False] * 2
         _assert_same(fused, got, reference, want)
+
+    @pytest.mark.parametrize("regime", list(_REGIMES))
+    def test_route_per_kernel_regime(self, regime, episode_calls):
+        make = _regime_learner(regime)
+        lean = _REGIMES[regime][1]
+        fused = make()
+        assert fused.kernel.lean is lean
+        got = fused.learn()
+        # only a failed final episode adds a (non-learning) greedy replay
+        replay = (
+            [] if got.episodes[-1].final_state.startswith("successfully")
+            else [False]
+        )
+        assert episode_calls == ([] if lean else [True] * 4) + replay
+        reference = make()
+        want = reference_learn(reference)
+        assert got.to_json() == want.to_json()
+        assert scheduler_state(fused.scheduler) == scheduler_state(
+            reference.scheduler
+        )
 
     def test_reward_object_mu_overrides_params(self):
         def make():
@@ -233,3 +309,44 @@ class TestFusedLearnMatchesObjectPath:
         reference = make()
         want = reference_learn(reference)
         _assert_same(fused, got, reference, want)
+
+
+class TestInterruptedLearn:
+    """A ``KeyboardInterrupt`` mid-episode leaves a reusable kernel."""
+
+    def _interrupt_then_reuse(self, monkeypatch, make, cls, name):
+        original = getattr(cls, name)
+        calls = []
+
+        def interrupting(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 40:
+                raise KeyboardInterrupt
+            return original(*args, **kwargs)
+
+        interrupted = make()
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, name, interrupting)
+            with pytest.raises(KeyboardInterrupt):
+                interrupted.learn()
+        assert len(calls) == 40
+        kernel = interrupted.kernel
+        _assert_pristine(kernel)
+
+        reused, fresh = make(), make()
+        reused.adopt_kernel(kernel, interrupted.kernel_fingerprint())
+        assert reused.kernel is kernel
+        assert reused.learn().to_json() == fresh.learn().to_json()
+        assert scheduler_state(reused.scheduler) == scheduler_state(
+            fresh.scheduler
+        )
+
+    def test_inside_the_lane_body(self, monkeypatch):
+        make = _regime_learner("burst-throttle", episodes=3)
+        self._interrupt_then_reuse(monkeypatch, make, _QMirror, "row_max")
+
+    def test_inside_the_object_path(self, monkeypatch):
+        make = _regime_learner("failures", episodes=3)
+        self._interrupt_then_reuse(
+            monkeypatch, make, ReassignScheduler, "select"
+        )

@@ -1,12 +1,12 @@
 """The fused lane's Q mirror against the object-path reference.
 
-``_drive_lean`` reads Q-values from a per-run (activation × VM) mirror
-with cached row maxima instead of the Q-table's pair-tuple slices (see
-``repro.core.lane``).  Every case here learns one run through
-``ReassignLearner.learn()`` and an identical twin through
-``tests/reference_learner.reference_learn`` — the scheduler-object
-path, which shares no code with the mirror — and demands byte-identical
-result JSON and scheduler state.  The scheduler state includes the
+On a lean kernel the fused lane reads Q-values from a per-run
+(activation × VM) mirror with cached row maxima instead of the
+Q-table's pair-tuple slices (see ``repro.core.lane``).  Every case here
+learns one run on a lean kernel through ``ReassignLearner.learn()`` and
+an identical twin through ``tests/reference_learner.reference_learn`` —
+the scheduler-object path, which shares no code with the mirror — and
+demands byte-identical result JSON and scheduler state.  The scheduler state includes the
 Q-table's lazy-init stream and interning order, so an engine that
 first-touches entries in another order fails even when its JSON would
 match.

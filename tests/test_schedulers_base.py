@@ -8,7 +8,7 @@ from repro.schedulers import (
     PlanFollowingScheduler,
     SchedulingPlan,
 )
-from repro.sim import WorkflowSimulator, ZeroCostNetwork, t2_fleet
+from repro.sim import WorkflowSimulator, ZeroCostNetwork
 from repro.sim.vm import VM_TYPES, Vm
 from repro.util.validate import ValidationError
 

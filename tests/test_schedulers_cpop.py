@@ -7,11 +7,9 @@ from repro.schedulers.base import EstimateModel
 from repro.schedulers.cpop import downward_ranks
 from repro.schedulers.heft import upward_ranks
 from repro.sim import WorkflowSimulator, ZeroCostNetwork
-from repro.sim.vm import VM_TYPES, Vm, VmType
+from repro.sim.vm import Vm, VmType
 from repro.util.validate import ValidationError
 from repro.dag import Workflow
-
-from tests.conftest import make_activation
 
 
 class TestDownwardRanks:

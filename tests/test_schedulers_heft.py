@@ -5,7 +5,7 @@ import pytest
 from repro.schedulers import HeftScheduler, PlanFollowingScheduler
 from repro.schedulers.base import EstimateModel
 from repro.schedulers.heft import upward_ranks
-from repro.sim import WorkflowSimulator, ZeroCostNetwork, t2_fleet
+from repro.sim import WorkflowSimulator, ZeroCostNetwork
 from repro.sim.vm import VM_TYPES, Vm, VmType
 from repro.util.validate import ValidationError
 

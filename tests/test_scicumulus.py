@@ -18,7 +18,6 @@ from repro.scicumulus import (
 from repro.scicumulus.swfms import fleet_label
 from repro.sim.metrics import ActivationRecord, SimulationResult
 from repro.util.validate import ValidationError
-from repro.workflows import montage
 
 
 class TestXmlSpec:

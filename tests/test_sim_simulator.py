@@ -2,21 +2,17 @@
 
 import pytest
 
-from repro.schedulers import FcfsScheduler, GreedyOnlineScheduler
+from repro.schedulers import FcfsScheduler
 from repro.sim import (
     BernoulliFailures,
-    NoFluctuation,
     PeriodicMigrations,
     SharedStorageNetwork,
     WorkflowSimulator,
     ZeroCostNetwork,
-    t2_fleet,
 )
 from repro.sim.simulator import SimulationError
 from repro.sim.vm import VM_TYPES, Vm, VmType
 from repro.util.validate import ValidationError
-
-from tests.conftest import make_activation
 
 
 def run(wf, vms, scheduler=None, **kw):

@@ -72,7 +72,10 @@ class TestGantt:
 
     def test_respects_width(self, result):
         text = gantt_text(result, width=60)
-        body = [l for l in text.splitlines() if l.startswith(("vm", "    |"))]
+        body = [
+            line for line in text.splitlines()
+            if line.startswith(("vm", "    |"))
+        ]
         assert all(len(line) <= 70 for line in body)
 
     def test_empty_trace(self):

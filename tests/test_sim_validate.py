@@ -13,7 +13,7 @@ from repro.sim import (
     ZeroCostNetwork,
     validate_result,
 )
-from repro.sim.metrics import ActivationRecord, SimulationResult
+from repro.sim.metrics import SimulationResult
 from repro.util.validate import ValidationError
 
 from tests.test_sim_properties import random_dag, random_fleet

@@ -37,8 +37,8 @@ class TestAsciiPlot:
     def test_downsampling(self):
         series = list(range(1000))
         text = ascii_plot(series, width=50, height=6)
-        body = [l for l in text.splitlines() if "|" in l]
-        assert all(len(l.split("|")[1]) <= 50 for l in body)
+        body = [line for line in text.splitlines() if "|" in line]
+        assert all(len(line.split("|")[1]) <= 50 for line in body)
 
     def test_every_point_plotted(self):
         text = ascii_plot([1, 2, 3], width=30, height=4)

@@ -1,7 +1,5 @@
 """Tests for repro.util.stats — Welford accumulators."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st

@@ -7,9 +7,6 @@ from repro.dag import profile_dag
 from repro.util.validate import ValidationError
 from repro.workflows import (
     CyberShakeRecipe,
-    EpigenomicsRecipe,
-    InspiralRecipe,
-    SiphtRecipe,
     available_workflows,
     cybershake,
     epigenomics,
@@ -17,6 +14,7 @@ from repro.workflows import (
     make_workflow,
     sipht,
 )
+from repro.workflows.registry import recipe_class
 
 
 class TestCyberShake:
@@ -111,8 +109,6 @@ class TestRegistry:
         with pytest.raises(ValidationError):
             make_workflow("nonexistent")
 
-
-from repro.workflows.registry import recipe_class
 
 RECIPE_RANGES = [
     ("montage", 11, 59),

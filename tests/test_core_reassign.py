@@ -1,5 +1,8 @@
 """Tests for repro.core — the ReASSIgN algorithm (Algorithm 2)."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core import (
@@ -10,8 +13,9 @@ from repro.core import (
     ReassignScheduler,
 )
 from repro.core.sweep import best_record, sweep_parameters
+from repro.experiments.environments import fleet_for
 from repro.rl.qtable import QTable
-from repro.sim import NoFluctuation, WorkflowSimulator
+from repro.sim import BernoulliFailures, NoFluctuation, WorkflowSimulator
 from repro.util.validate import ValidationError
 from repro.workflows import montage
 
@@ -152,6 +156,51 @@ class TestLearner:
             montage25, fleet16, params, seed=7, fluctuation=NoFluctuation()
         ).learn()
         assert result.simulated_makespan > 0
+
+
+class TestObjectPathDigests:
+    """Byte pins for the learning runs only the object path takes.
+
+    SARSA, Double-Q, progress buckets and failure retries never reach
+    the fused lane, and the lane-vs-reference suites compare the object
+    path with itself for them.  These digests (sha256 of the result
+    JSON minus the wall-clock ``learning_time``) pin their output, so a
+    refactor of the update rules cannot drift unnoticed.
+    """
+
+    @pytest.mark.parametrize(
+        "case, learner_kwargs, digest",
+        [
+            (dict(rule="sarsa"), {},
+             "accc7ed2344feb3bcf612594c0e821bd7e3e50fd720246a17ddfb51eddb5fa28"),
+            (dict(rule="doubleq"), {},
+             "46bece271184a6f0e54d577d01ccc70f029c071be8fad34b4ed9aaa6dd6ede3e"),
+            (dict(state_buckets=4), {},
+             "70ff43ad67a72b01ecbbc2efb343eef2055d3eda9e2f2e2c62fbebc67620bc2c"),
+            (dict(rule="sarsa", epsilon=0.5, epsilon_is_exploration=False,
+                  gamma=0.5), {},
+             "33b543a1514d7482bc9730985cb64a44d0204fa8f5adcfe617ed589985cb75eb"),
+            (dict(rule="doubleq", reward_memory="episode",
+                  qtable_init_scale=0.0), {},
+             "42b4a7a9c296214bdec1f05ccb92e505d660a49578e7957120ee9818ff4399db"),
+            (dict(), dict(failures=BernoulliFailures(0.01), max_attempts=3),
+             "ab95c33781aa4dbb31b1766f91fc5b7c414b375a3503a9fa864cc5e1292086f8"),
+        ],
+        ids=["sarsa", "doubleq", "buckets", "sarsa-literal-eps",
+             "doubleq-episode-memory", "qlearning-failures"],
+    )
+    def test_result_bytes_pinned(self, case, learner_kwargs, digest):
+        learner = ReassignLearner(
+            montage(25, seed=1), fleet_for(16),
+            ReassignParams(alpha=0.5, episodes=5, **case),
+            seed=3, **learner_kwargs,
+        )
+        data = json.loads(learner.learn().to_json())
+        data.pop("learning_time")
+        got = hashlib.sha256(
+            json.dumps(data, sort_keys=True).encode()
+        ).hexdigest()
+        assert got == digest
 
 
 class TestEpisodeRecords:

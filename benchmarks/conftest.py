@@ -20,17 +20,23 @@ building blocks live here rather than being re-derived per file:
   divergence.
 
 Set ``REPRO_EPISODES`` to scale down learning episode counts (paper: 100).
+The repository root goes on ``sys.path`` so benchmarks can import the
+test suite's reference implementations (``tests.reference_qtable``)
+under a bare ``pytest benchmarks`` as well as ``python -m pytest``.
 """
 
 import contextlib
 import gc
 import pathlib
 import subprocess
+import sys
 
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = REPO_ROOT / "results"
+if str(REPO_ROOT) not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT))
 
 
 @pytest.fixture(scope="session")

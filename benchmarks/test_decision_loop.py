@@ -5,11 +5,12 @@ fleet, burst-throttle fluctuation) three ways, all driving the same
 kernel-reuse episode loop with the same per-episode seeds:
 
 - **fast path**: the current tree as shipped — interned dense
-  (``backend="array"``) Q-table, version-cached ``ctx.action_pairs``
+  ``QTable``, version-cached ``ctx.action_pairs``
   cross product, incremental ``ctx.n_finished`` progress label, Welford
   reward inlined;
 - **legacy loop**: an in-tree replica of the PR 3-era decision loop —
-  dict-backed Q-table, per-decision ``[(ac.id, vm.id) for ... for ...]``
+  the sparse dict-backed Q-table (``tests/reference_qtable.DictQTable``),
+  per-decision ``[(ac.id, vm.id) for ... for ...]``
   rebuild, per-reward ``RunningStats`` round trip, per-label record
   scan — on today's simulator;
 - **pre-refactor engine** (the PR 3 baseline): commit ``01b95de``
@@ -25,7 +26,7 @@ Q-table JSON, before any throughput counts.
 Read the two live ratios honestly.  Fast-vs-legacy isolates the
 decision-loop micro-costs and lands near 1.0x on Montage-50 — at ~3
 ready x idle pairs per decision the simulator dominates, and the dense
-backend's wins (6-7x on wide action sets) vanish into noise.  The
+table's wins (6-7x on wide action sets) vanish into noise.  The
 headline >=2x is fast-vs-pre-refactor: the decision-loop fast path
 *plus* the kernel/state split it rides on, measured against the same
 baseline commit PR 3 froze, re-run on this machine in this run.  The
@@ -65,6 +66,7 @@ from conftest import (
     host_provenance,
     save_artifact,
 )
+from tests.reference_qtable import DictQTable
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _BASELINE_COMMIT = "01b95de"
@@ -85,10 +87,8 @@ def _episode_seeds(seed, n):
     return [rng.spawn_seed(f"episode:{i}") for i in range(n)]
 
 
-def _params(backend="array"):
-    return ReassignParams(
-        alpha=0.5, gamma=1.0, epsilon=0.1, qtable_backend=backend
-    )
+def _params():
+    return ReassignParams(alpha=0.5, gamma=1.0, epsilon=0.1)
 
 
 class _LegacyReward(PerformanceReward):
@@ -127,11 +127,12 @@ class _LegacyLoopScheduler(ReassignScheduler):
         return f"available:p{bucket}"
 
 
-def _run_arm(wf, fleet, seeds, scheduler_cls, backend):
+def _run_arm(wf, fleet, seeds, scheduler_cls):
     """One fresh scheduler + kernel-reuse loop; returns (mks, s, qjson)."""
-    params = _params(backend)
+    params = _params()
     scheduler = scheduler_cls(params, seed=1, learning=True)
     if scheduler_cls is _LegacyLoopScheduler:
+        scheduler.qtable = DictQTable(params.qtable_init_scale, seed=1)
         scheduler.reward = _LegacyReward(mu=params.mu, rho=params.rho)
     kernel = EpisodeKernel(
         wf, fleet, fluctuation=BurstThrottleFluctuation(**_FLUCTUATION)
@@ -272,7 +273,7 @@ def _render_note(episodes, reps, fast_s, legacy_s, pre):
         f"- commit: {git_head()} (baseline {_BASELINE_COMMIT})",
         "- workflow: Montage-50, 16-vCPU Table-I fleet, burst-throttle",
         f"- episodes per arm: {episodes} (best of {reps})",
-        f"- fast path (array Q-table, cached pairs): {fast_s:.3f} s "
+        f"- fast path (dense Q-table, cached pairs): {fast_s:.3f} s "
         f"({fast_eps:.1f} eps/s)",
         f"- legacy loop replica (dict Q-table, per-call rebuild): "
         f"{legacy_s:.3f} s ({legacy_eps:.1f} eps/s)",
@@ -299,7 +300,7 @@ def _render_note(episodes, reps, fast_s, legacy_s, pre):
         "throughput counted.  Fast-vs-legacy isolates the decision-loop",
         "micro-costs and sits near 1.0x here: Montage-50 decisions",
         "median ~3 ready x idle pairs, so the simulator dominates and the",
-        "dense backend's large-action-set wins do not move end-to-end",
+        "dense table's large-action-set wins do not move end-to-end",
         "time.  The >=2x headline is fast vs the pre-refactor engine —",
         "the decision-loop fast path plus the kernel/state split,",
         "measured against the same commit PR 3 froze as its baseline",
@@ -315,12 +316,12 @@ def _run_and_record(results_dir, episodes, reps, with_baseline):
     fleet = fleet_for(16)
     seeds = _episode_seeds(1, episodes)
     # warmup outside the timed reps
-    _run_arm(wf, fleet, seeds, ReassignScheduler, "array")
+    _run_arm(wf, fleet, seeds, ReassignScheduler)
     fast_mk, fast_s, fast_q = best_of(
-        reps, lambda: _run_arm(wf, fleet, seeds, ReassignScheduler, "array")
+        reps, lambda: _run_arm(wf, fleet, seeds, ReassignScheduler)
     )
     legacy_mk, legacy_s, legacy_q = best_of(
-        reps, lambda: _run_arm(wf, fleet, seeds, _LegacyLoopScheduler, "dict")
+        reps, lambda: _run_arm(wf, fleet, seeds, _LegacyLoopScheduler)
     )
     assert fast_mk == legacy_mk, (
         "fast and legacy decision loops diverged — throughput numbers void"

@@ -200,7 +200,7 @@ class FileFacts:
 
 
 def _module_of(path: str) -> str:
-    """Dotted module guess: ``src/repro/rl/double_q.py`` -> ``repro.rl.double_q``."""
+    """Dotted module guess: ``src/repro/rl/td.py`` -> ``repro.rl.td``."""
     posix = path.replace("\\", "/")
     parts = [p for p in posix.split("/") if p]
     if "repro" in parts:

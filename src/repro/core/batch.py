@@ -14,8 +14,8 @@ uses that interner.
 
 Each run takes whatever path ``learn()`` takes for its spec — the fused
 lane stepper (:mod:`repro.core.lane`) for the paper's rule on a lean
-kernel, the scheduler-object loop for SARSA / Double-Q / state buckets /
-the dict backend and for every non-lean kernel.  The runs go one after
+kernel, the scheduler-object loop for SARSA / Double-Q / state buckets
+and for every non-lean kernel.  The runs go one after
 the other: lockstep interleaving measured no faster than this loop on
 the paper grid.
 
@@ -24,8 +24,8 @@ returned :class:`~repro.core.episode.LearningResult` — every episode
 record, every Q-table float, the plan, the serialized JSON — is byte
 for byte what the object-path reference (``EpisodeKernel.run_episode``
 driving a ``ReassignScheduler`` for each ``episode:{i}`` seed, then
-the final-plan rule) produces for the same spec, for any batch size
-and for every Q-table backend.  Sharing the kernel is safe because
+the final-plan rule) produces for the same spec, for any batch size.
+Sharing the kernel is safe because
 episodes reset its mutable state at entry and scrub it on exceptions,
 and its cross-run shared structures — the nominal estimate memos and,
 for runs on the object path, the action-pair interner — are

@@ -105,17 +105,12 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
     """Whether the fused fast path covers these hyper-parameters.
 
     The fast path replicates the paper's rule exactly: plain Q-learning
-    over the single aggregated "available" state, on a dense (array or
-    shard) Q-table backend.  Everything else — SARSA's deferred update,
-    double-Q's coin stream, progress buckets, the sparse dict backend —
+    over the single aggregated "available" state.  Everything else —
+    SARSA's deferred update, double-Q's coin stream, progress buckets —
     runs through the real ``ReassignScheduler`` instead (bit-identical
     either way; only the throughput differs).
     """
-    return (
-        params.rule == "qlearning"
-        and params.state_buckets == 1
-        and params.qtable_backend in ("array", "shard")
-    )
+    return params.rule == "qlearning" and params.state_buckets == 1
 
 
 class _FastLane:
@@ -320,13 +315,8 @@ class _QMirror:
         self.idle_pos: Dict[int, Tuple[int, ...]] = {}
 
     def _fetch_rows(self) -> None:
-        table = self.table
-        if table.backend == "shard":
-            self.qrow = table._store.q_row(self.sid)
-            self.krow = table._store.known_row(self.sid)
-        else:
-            self.qrow = table._q[self.sid]
-            self.krow = table._known[self.sid]
+        self.qrow = self.table._q[self.sid]
+        self.krow = self.table._known[self.sid]
 
     def idle_at(self, mask: int) -> Tuple[int, ...]:
         """The idle VM positions under busy ``mask`` (memoized)."""

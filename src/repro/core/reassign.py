@@ -50,6 +50,14 @@ from repro.rl.environment import AVAILABLE, UNAVAILABLE
 from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qtable import QTable
 from repro.rl.reward import PerformanceReward
+from repro.rl.td import (
+    discount,
+    doubleq_future,
+    doubleq_roles,
+    eq3_update,
+    qlearning_future,
+    sarsa_future,
+)
 from repro.schedulers.base import Decision, OnlineScheduler, SchedulingPlan
 from repro.sim.failures import FailureModel
 from repro.sim.fluctuation import BurstThrottleFluctuation, FluctuationModel
@@ -133,14 +141,6 @@ class ReassignParams:
     #: reward responsive — mitigates the stale-history lock-in that
     #: degrades late episodes on some workloads; see EXPERIMENTS.md)
     reward_memory: str = "full"
-    #: Q-table storage backend: "array" (interned dense fast path),
-    #: "shard" (sharded, optionally memmap-backed dense storage — see
-    #: repro.rl.qshard) or "dict" (legacy sparse table).  Bit-identical
-    #: results in all three; "dict" always learns on the scheduler-object
-    #: path, the one the equivalence suites take as their reference
-    #: (docs/performance.md), while the dense backends learn on the
-    #: fused lane stepper.
-    qtable_backend: str = "array"
 
     def __post_init__(self) -> None:
         check_probability("alpha", self.alpha)
@@ -168,11 +168,6 @@ class ReassignParams:
         if self.reward_memory not in ("full", "episode"):
             raise ValidationError(
                 f"reward_memory must be full/episode, got {self.reward_memory!r}"
-            )
-        if self.qtable_backend not in ("array", "dict", "shard"):
-            raise ValidationError(
-                f"qtable_backend must be array/dict/shard, "
-                f"got {self.qtable_backend!r}"
             )
 
     def label(self) -> str:
@@ -210,22 +205,16 @@ class ReassignScheduler(OnlineScheduler):
         self.qtable = (
             qtable
             if qtable is not None
-            else QTable(
-                init_scale=params.qtable_init_scale,
-                seed=seed,
-                backend=params.qtable_backend,
-            )
+            else QTable(init_scale=params.qtable_init_scale, seed=seed)
         )
         if params.rule == "doubleq":
-            # the behaviour policy reads Q_A + Q_B; updates flip a coin
+            # ``qtable`` is Q_A and the behaviour policy (and the greedy
+            # replay) reads Q_A alone; each update flips a coin for the
+            # table that learns (repro.rl.td)
             self._qtable_b = QTable(
                 init_scale=params.qtable_init_scale,
                 seed=RngService(seed).spawn_seed("qtable-b"),
-                backend=params.qtable_backend,
             )
-            # NOT "doubleq-coin": repro.rl.double_q owns that stream name,
-            # and sharing it would correlate the two coins under equal
-            # root seeds (RL008).
             self._coin = RngService(seed).stream("reassign-doubleq-coin")
         else:
             self._qtable_b = None
@@ -307,42 +296,29 @@ class ReassignScheduler(OnlineScheduler):
         if self.learning and self._sarsa_pending is not None:
             # SARSA's delayed update: we now know the on-policy next action
             s, a, r_t, gamma_t = self._sarsa_pending
-            future = self.qtable.value(state, action)
-            delta = r_t + gamma_t * future - self.qtable.value(s, a)
-            self.qtable.add(s, a, self.params.alpha * delta)
+            future = sarsa_future(self.qtable, state, action)
+            eq3_update(self.qtable, s, a, r_t, gamma_t, future, self.params.alpha)
             self._sarsa_pending = None
         return action
 
     def _gamma_t(self) -> float:
-        return (
-            self.params.gamma ** self._t
-            if self.params.discount_power
-            else self.params.gamma
-        )
+        return discount(self.params.gamma, self._t, self.params.discount_power)
 
     def _q_update(self, action: Decision, r_t: float, ctx: SimulationContext) -> None:
         """Eq. 3 (Q-learning) or its double-estimator variant."""
         next_state = self._observe_state(ctx)
         next_actions = self._enumerate_actions(ctx)
-        gamma_t = self._gamma_t()
         if self.params.rule == "doubleq":
             assert self._qtable_b is not None and self._coin is not None
-            if self._coin.random() < 0.5:
-                learn, evaluate = self.qtable, self._qtable_b
-            else:
-                learn, evaluate = self._qtable_b, self.qtable
-            if next_actions:
-                best = learn.best_action(next_state, next_actions)
-                future = evaluate.value(next_state, best)
-            else:
-                future = 0.0
-            delta = r_t + gamma_t * future - learn.value(self._last_state, action)
-            learn.add(self._last_state, action, self.params.alpha * delta)
+            learn, evaluate = doubleq_roles(self._coin, self.qtable, self._qtable_b)
+            future = doubleq_future(learn, evaluate, next_state, next_actions)
         else:
-            future = self.qtable.max_value(next_state, next_actions)
-            q_sa = self.qtable.value(self._last_state, action)
-            delta = r_t + gamma_t * future - q_sa
-            self.qtable.add(self._last_state, action, self.params.alpha * delta)
+            learn = self.qtable
+            future = qlearning_future(learn, next_state, next_actions)
+        eq3_update(
+            learn, self._last_state, action, r_t, self._gamma_t(), future,
+            self.params.alpha,
+        )
 
     def on_dispatched(
         self, ctx: SimulationContext, pending: PendingExecution
@@ -368,9 +344,8 @@ class ReassignScheduler(OnlineScheduler):
     ) -> None:
         if self.learning and self._sarsa_pending is not None:
             # terminal flush: no next action, future value 0
-            s, a, r_t, _ = self._sarsa_pending
-            delta = r_t - self.qtable.value(s, a)
-            self.qtable.add(s, a, self.params.alpha * delta)
+            s, a, r_t, gamma_t = self._sarsa_pending
+            eq3_update(self.qtable, s, a, r_t, gamma_t, 0.0, self.params.alpha)
             self._sarsa_pending = None
 
     def qtable_json(self) -> str:
@@ -491,11 +466,7 @@ class ReassignLearner:
             clock, "advance", None
         )
         qtable = (
-            QTable.from_json(
-                prior_qtable_json,
-                seed=seed,
-                backend=self.params.qtable_backend,
-            )
+            QTable.from_json(prior_qtable_json, seed=seed)
             if prior_qtable_json
             else None
         )

@@ -1,23 +1,16 @@
-"""Environment protocol for the tabular agents + workflow state constants.
+"""The workflow state constants of §III-A.
 
-The generic agents (:mod:`~repro.rl.qlearning`, :mod:`~repro.rl.sarsa`,
-:mod:`~repro.rl.double_q`) interact with any :class:`DiscreteEnv` — a
-minimal episodic MDP interface.  ReASSIgN itself is driven by the
-simulator (the environment pushes decisions to the agent), so it lives in
-:mod:`repro.core`; the protocol here is used for unit-testing the learning
-rules on small MDPs and for the ablation benchmarks.
-
-``WORKFLOW_STATES`` enumerates the paper's 4-valued workflow state space S
-(§III-A): two live states and two terminal states.
+``WORKFLOW_STATES`` enumerates the paper's 4-valued workflow state space
+S: two live states and two terminal states.  ReASSIgN is driven by the
+simulator (the environment pushes decisions to the agent), so the MDP
+itself lives in :mod:`repro.core`.
 """
 
 from __future__ import annotations
 
-import abc
-from typing import Hashable, List, Tuple
+from typing import Tuple
 
-__all__ = ["DiscreteEnv", "WORKFLOW_STATES", "AVAILABLE", "UNAVAILABLE",
-           "SUCCESS", "FAILURE"]
+__all__ = ["WORKFLOW_STATES", "AVAILABLE", "UNAVAILABLE", "SUCCESS", "FAILURE"]
 
 #: the workflow states of §III-A
 AVAILABLE = "available"
@@ -26,23 +19,3 @@ SUCCESS = "successfully finished"
 FAILURE = "finished with failure"
 
 WORKFLOW_STATES: Tuple[str, ...] = (AVAILABLE, UNAVAILABLE, SUCCESS, FAILURE)
-
-
-class DiscreteEnv(abc.ABC):
-    """A finite episodic MDP."""
-
-    @abc.abstractmethod
-    def reset(self) -> Hashable:
-        """Begin an episode; returns the initial state."""
-
-    @abc.abstractmethod
-    def actions(self, state: Hashable) -> List[Hashable]:
-        """Legal actions in ``state`` (empty iff terminal)."""
-
-    @abc.abstractmethod
-    def step(self, action: Hashable) -> Tuple[Hashable, float, bool]:
-        """Apply ``action``; returns (next_state, reward, done)."""
-
-    def is_terminal(self, state: Hashable) -> bool:
-        """Default terminality test: no legal actions."""
-        return not self.actions(state)

@@ -174,11 +174,32 @@ def schedule_to_json(jobs: Sequence[Job]) -> str:
 
 
 def schedule_from_json(text: str) -> Tuple[Job, ...]:
-    """Inverse of :func:`schedule_to_json`."""
-    data = json.loads(text)
+    """Inverse of :func:`schedule_to_json`.
+
+    Malformed JSON, a ``jobs`` value that is not a list, and any job
+    :meth:`Job.from_dict` or :class:`Job` rejects raise
+    :class:`ValidationError`; a job's error names its index in ``jobs``.
+    """
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"malformed arrival trace JSON: {exc}") from exc
     if not isinstance(data, dict) or "jobs" not in data:
         raise ValidationError("arrival trace JSON must have a 'jobs' list")
-    return tuple(Job.from_dict(d) for d in data["jobs"])
+    entries = data["jobs"]
+    if not isinstance(entries, list):
+        raise ValidationError(
+            f"arrival trace 'jobs' must be a list, got {entries!r:.60}"
+        )
+    jobs = []
+    for index, entry in enumerate(entries):
+        try:
+            jobs.append(Job.from_dict(entry))
+        except ValidationError as exc:
+            raise ValidationError(
+                f"arrival trace job {index}: {exc}"
+            ) from exc
+    return tuple(jobs)
 
 
 def save_trace(jobs: Sequence[Job], path: Union[str, Path]) -> None:

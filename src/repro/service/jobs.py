@@ -27,6 +27,16 @@ from repro.util.validate import (
 __all__ = ["Job", "TenantSpec", "default_tenants"]
 
 
+def _field(data: Mapping[str, Any], name: str, kinds: Any, what: str) -> Any:
+    """``data[name]`` if present and of ``kinds`` (never a bool)."""
+    if name not in data:
+        raise ValidationError(f"missing field {name!r}")
+    value = data[name]
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ValidationError(f"{name} must be {what}, got {value!r:.60}")
+    return value
+
+
 @dataclass(frozen=True)
 class Job:
     """One workflow-execution request.
@@ -90,16 +100,33 @@ class Job:
 
     @staticmethod
     def from_dict(data: Mapping[str, Any]) -> "Job":
-        """Inverse of :meth:`to_dict` (exact round trip)."""
+        """Inverse of :meth:`to_dict` (exact round trip).
+
+        The dict usually comes from an arrival-trace file, so it is
+        checked here rather than coerced: a non-object, a missing field,
+        a ``job_id`` / ``size`` / ``workflow_seed`` that is not an
+        integer (bools and ``25.7`` included), a time that is not a
+        number, or a ``tenant`` / ``workflow`` that is not a string
+        raises :class:`ValidationError` naming the field.
+        """
+        if not isinstance(data, Mapping):
+            raise ValidationError(f"job must be an object, got {data!r:.60}")
+        number = (int, float)
         deadline = data.get("deadline")
         return Job(
-            job_id=int(data["job_id"]),
-            tenant=str(data["tenant"]),
-            workflow=str(data["workflow"]),
-            size=int(data["size"]),
-            arrival_time=float(data["arrival_time"]),
-            workflow_seed=int(data["workflow_seed"]),
-            deadline=None if deadline is None else float(deadline),
+            job_id=_field(data, "job_id", int, "an integer"),
+            tenant=_field(data, "tenant", str, "a string"),
+            workflow=_field(data, "workflow", str, "a string"),
+            size=_field(data, "size", int, "an integer"),
+            arrival_time=float(
+                _field(data, "arrival_time", number, "a number")
+            ),
+            workflow_seed=_field(data, "workflow_seed", int, "an integer"),
+            deadline=(
+                None
+                if deadline is None
+                else float(_field(data, "deadline", number, "a number"))
+            ),
         )
 
 

@@ -14,8 +14,8 @@ other rather than the stepper against itself.
 its scheduler that later calls read: the Q-table, the reward model's
 history and smoothed reward, the policy generator and the episode
 counters.  It also pins how the table got there — the lazy-init
-stream's generator state, the known-entry count and, on the dense
-backends, the order states and actions were interned in — so two
+stream's generator state and, on a dense ``QTable``, the known-entry
+count and the order states and actions were interned in — so two
 engines that first-touch entries in a different order cannot compare
 equal by landing on the same JSON.
 
@@ -28,6 +28,7 @@ from unittest import mock
 from repro.core.batch import learn_batch
 from repro.core.episode import EpisodeRecord, LearningResult
 from repro.core.reassign import ReassignLearner, ReassignScheduler
+from repro.rl.qtable import QTable
 from repro.schedulers.base import SchedulingPlan
 from repro.util.rng import RngService
 
@@ -95,7 +96,7 @@ def scheduler_state(sched):
         "episode_steps": sched.episode_steps,
         "episode_mean_reward": sched.episode_mean_reward,
     }
-    if table.backend != "dict":
+    if isinstance(table, QTable):
         state["qtable_n_known"] = table._n_known
         state["qtable_states"] = list(table._states)
         state["qtable_actions"] = list(table._actions)

@@ -1,15 +1,18 @@
-"""Fast-path equivalence suite: array backend == dict backend, bitwise.
+"""Differential suite: the dense ``QTable`` == the sparse oracle, bitwise.
 
-The dense ``backend="array"`` Q-table and the versioned action-pair
-cache are pure performance work — PR-level contract: **no float ever
-differs**.  Three layers of evidence:
+``QTable``'s interned dense layout and the versioned action-pair cache
+are pure performance work — contract: **no float ever differs** from
+``tests/reference_qtable.DictQTable``, the table written the obvious
+way.  Three layers of evidence:
 
-- a property test drives both backends through the same random op
+- a property test drives both tables through the same random op
   interleaving and demands identical returns plus byte-identical
   ``to_json()`` (first-touch draws happen in the same RNG order even
-  though the array backend batch-initializes rows);
-- a full learning run on Montage-25 must match across backends on the
-  Q-table JSON, every per-episode record, and the emitted plan;
+  though the dense table batch-initializes rows);
+- a full learning run on Montage-25 must match across two engines on
+  two storages — the fused lane on a ``QTable`` against the object path
+  on a ``DictQTable`` — on the Q-table JSON, every per-episode record,
+  and the emitted plan;
 - the kernel-caching parallel runner must stay bit-identical between
   ``workers=1`` and ``workers=4``, with the per-process cache provably
   building each distinct kernel once.
@@ -27,6 +30,7 @@ from repro.util.rng import RngService
 from repro.workflows.montage import montage
 
 from tests.reference_learner import reference_learn
+from tests.reference_qtable import DictQTable
 
 # (op, state index, action index, value) — indices keep the key space
 # small enough that interleavings actually collide on rows.
@@ -64,8 +68,8 @@ class TestQTableBackendEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1), ops=_OPS)
     def test_interleaved_ops_bit_identical(self, seed, ops):
-        array = QTable(init_scale=1e-3, seed=seed, backend="array")
-        plain = QTable(init_scale=1e-3, seed=seed, backend="dict")
+        array = QTable(init_scale=1e-3, seed=seed)
+        plain = DictQTable(init_scale=1e-3, seed=seed)
         rng_a = RngService(seed).stream("tie")
         rng_d = RngService(seed).stream("tie")
         for op, state_idx, action_idx, value in ops:
@@ -78,41 +82,37 @@ class TestQTableBackendEquivalence:
     def test_wide_action_set_uses_same_floats(self):
         # crosses the scalar-reduction threshold into the numpy branch
         actions = [(k, k + 1) for k in range(64)]
-        array = QTable(init_scale=1e-3, seed=3, backend="array")
-        plain = QTable(init_scale=1e-3, seed=3, backend="dict")
+        array = QTable(init_scale=1e-3, seed=3)
+        plain = DictQTable(init_scale=1e-3, seed=3)
         assert array.max_value("s", actions) == plain.max_value("s", actions)
         assert array.best_action("s", actions) == plain.best_action("s", actions)
         assert array.to_json() == plain.to_json()
 
-    def test_json_round_trip_crosses_backends(self):
-        array = QTable(init_scale=1e-3, seed=9, backend="array")
-        array.set("s", (1, 2), 4.5)
-        array.value("s", (3, 4))  # lazily initialized entry survives too
-        back = QTable.from_json(array.to_json(), backend="dict")
-        assert back.to_json() == array.to_json()
-
 
 class TestLearnerBackendEquivalence:
     def test_learning_run_bit_identical(self):
-        def learner(backend):
+        def learner():
             return ReassignLearner(
                 montage(25, seed=1),
                 fleet_for(16),
-                ReassignParams(episodes=4, qtable_backend=backend),
+                ReassignParams(episodes=4),
                 seed=7,
             )
 
-        # array learns on the fused stepper, dict on the scheduler-object
-        # path: both must match the object-path reference
-        want = reference_learn(learner("array"))
-        for backend in ("array", "dict"):
-            got = learner(backend).learn()
-            assert got.qtable_json == want.qtable_json
-            assert [e.to_dict() for e in got.episodes] == [
-                e.to_dict() for e in want.episodes
-            ]
-            assert got.plan.to_json() == want.plan.to_json()
-            assert got.simulated_makespan == want.simulated_makespan
+        # the fused lane on the dense table against the object path on
+        # the sparse oracle: two engines, two storages
+        got = learner().learn()
+        sparse = learner()
+        sparse.scheduler.qtable = DictQTable(
+            sparse.params.qtable_init_scale, seed=7
+        )
+        want = reference_learn(sparse)
+        assert got.qtable_json == want.qtable_json
+        assert [e.to_dict() for e in got.episodes] == [
+            e.to_dict() for e in want.episodes
+        ]
+        assert got.plan.to_json() == want.plan.to_json()
+        assert got.simulated_makespan == want.simulated_makespan
 
 
 def _cell_fingerprints(records):

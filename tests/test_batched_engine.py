@@ -10,9 +10,9 @@ stepper the runs take:
   and demands identical ``LearningResult.to_json()`` and scheduler
   state (``tests/reference_learner.scheduler_state``);
 - directed tests sweep the batch width over B ∈ {1, 2, 7, 32}, cover
-  the shard backend, ineligible-lane fallbacks (SARSA / Double-Q /
-  bucketed states) mixed into one batch, and the sweep fingerprint
-  across worker counts and batch sizes;
+  ineligible-lane fallbacks (SARSA / Double-Q / bucketed states) mixed
+  into one batch, and the sweep fingerprint across worker counts and
+  batch sizes;
 - ``adopt_kernel``'s safety rails reject double adoption and
   mismatched kernel configurations.
 """
@@ -127,16 +127,6 @@ class TestBatchedVsSerial:
         ]
         _assert_batch_matches_serial(specs)
 
-    def test_shard_backend_lane_bitwise_equal(self):
-        wf = montage(25, seed=2)
-        specs = [
-            _spec(wf, 5, qtable_backend="shard"),
-            _spec(wf, 5, qtable_backend="array"),
-        ]
-        shard_lane, array_lane = learn_batch(specs)
-        assert shard_lane.qtable_json == array_lane.qtable_json
-        _assert_batch_matches_serial(specs)
-
     def test_ineligible_lanes_fall_back_and_still_match(self):
         wf = random_dag(42, n_min=5, n_max=8)
         specs = [
@@ -144,7 +134,6 @@ class TestBatchedVsSerial:
             _spec(wf, 1, rule="sarsa"),
             _spec(wf, 1, rule="doubleq"),
             _spec(wf, 1, state_buckets=4),
-            _spec(wf, 1, qtable_backend="dict"),
         ]
         assert fast_lane_eligible(specs[0].params)
         for spec in specs[1:]:

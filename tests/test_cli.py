@@ -47,6 +47,26 @@ class TestParser:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "trace, message",
+        [
+            ("{not json", "malformed arrival trace JSON"),
+            ('{"jobs": [{"job_id": 0}]}', "job 0: missing field 'tenant'"),
+        ],
+    )
+    def test_malformed_trace_is_a_clean_error(
+        self, trace, message, tmp_path, capsys
+    ):
+        path = tmp_path / "trace.json"
+        path.write_text(trace, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--trace", str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestWorkflowCommand:
     def test_profile_printed(self, capsys):
         assert main(["workflow", "--workflow", "montage", "--size", "25"]) == 0

@@ -109,18 +109,16 @@ class TestMirrorMatchesObjectPath:
         epsilon_is_exploration=st.booleans(),
         init_scale=st.sampled_from([0.0, 1e-3]),
         reward_memory=st.sampled_from(["full", "episode"]),
-        backend=st.sampled_from(["array", "shard"]),
     )
     def test_random_layered_dags(
         self, dag_seed, fleet, seed, alpha, gamma, epsilon,
-        epsilon_is_exploration, init_scale, reward_memory, backend,
+        epsilon_is_exploration, init_scale, reward_memory,
     ):
         _assert_matches(_learner(
             layered_dag(dag_seed), t2_fleet(*fleet), seed=seed,
             episodes=3, alpha=alpha, gamma=gamma, epsilon=epsilon,
             epsilon_is_exploration=epsilon_is_exploration,
             qtable_init_scale=init_scale, reward_memory=reward_memory,
-            qtable_backend=backend,
         ))
 
     def test_zero_init_scale_ties_span_rows(self):
@@ -144,10 +142,10 @@ class TestMirrorMatchesObjectPath:
         ):
             _assert_matches(_learner(wf, fleet, episodes=4, **params))
 
-    def test_episode_memory_on_the_shard_backend(self):
+    def test_episode_reward_memory(self):
         _assert_matches(_learner(
             montage(25, seed=2), t2_fleet(2, 1), episodes=4,
-            reward_memory="episode", qtable_backend="shard",
+            reward_memory="episode",
         ))
 
     def test_partial_prior_row_with_a_second_state(self):
@@ -162,10 +160,9 @@ class TestMirrorMatchesObjectPath:
                 # interned by another state, still unknown in "available"
                 entries.append(["unavailable", [a, v], rng.uniform(-1.0, 1.0)])
         prior = json.dumps({"init_scale": 1e-3, "entries": entries})
-        for backend in ("array", "shard"):
-            make = _learner(wf, fleet, episodes=4, qtable_backend=backend)
-            fused = _assert_matches(make, prior_qtable_json=prior)
-            assert "unavailable" in fused.scheduler.qtable._states
+        make = _learner(wf, fleet, episodes=4)
+        fused = _assert_matches(make, prior_qtable_json=prior)
+        assert "unavailable" in fused.scheduler.qtable._states
 
     def test_learn_twice_on_one_learner(self):
         make = _learner(layered_dag(3), t2_fleet(3, 1), episodes=3,
@@ -182,7 +179,7 @@ class TestMirrorMatchesObjectPath:
         cells = [
             dict(alpha=0.5, epsilon=0.1, qtable_init_scale=0.0),
             dict(alpha=1.0, epsilon=0.5),
-            dict(alpha=0.1, epsilon=0.0, qtable_backend="shard"),
+            dict(alpha=0.1, epsilon=0.0),
         ]
         for width in (1, 3):
             specs = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rl import DecayingEpsilonPolicy, EpsilonGreedyPolicy, QTable, SoftmaxPolicy
+from repro.rl import EpsilonGreedyPolicy, QTable
 from repro.util.rng import RngService
 from repro.util.validate import ValidationError
 
@@ -60,38 +60,3 @@ class TestPaperEpsilonConvention:
         with pytest.raises(ValidationError):
             EpsilonGreedyPolicy(1.5)
 
-
-class TestDecayingEpsilon:
-    def test_anneals_towards_final(self):
-        policy = DecayingEpsilonPolicy(epsilon=0.1, epsilon_final=0.95, decay=0.5)
-        for _ in range(20):
-            policy.episode_finished()
-        assert policy.epsilon == pytest.approx(0.95, abs=1e-3)
-
-    def test_monotonic_increase(self):
-        policy = DecayingEpsilonPolicy(epsilon=0.1, epsilon_final=0.9, decay=0.9)
-        values = []
-        for _ in range(10):
-            values.append(policy.epsilon)
-            policy.episode_finished()
-        assert values == sorted(values)
-
-
-class TestSoftmax:
-    def test_prefers_high_q(self, table, rng):
-        policy = SoftmaxPolicy(temperature=1.0)
-        frac = exploit_fraction(policy, table, rng)
-        assert frac > 0.9  # Q gap of 9 at T=1 is near-deterministic
-
-    def test_high_temperature_uniform(self, table, rng):
-        policy = SoftmaxPolicy(temperature=1e6)
-        frac = exploit_fraction(policy, table, rng)
-        assert frac == pytest.approx(1 / 3, abs=0.04)
-
-    def test_temperature_validated(self):
-        with pytest.raises(ValidationError):
-            SoftmaxPolicy(temperature=0.0)
-
-    def test_empty_actions_rejected(self, table, rng):
-        with pytest.raises(ValidationError):
-            SoftmaxPolicy().choose(table, "s", [], rng)

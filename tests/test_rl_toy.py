@@ -1,17 +1,10 @@
-"""Tests for the reference environments + classic agent behaviours on them."""
+"""Tests for the reference environments + classic rule behaviours on them."""
 
 import pytest
 
-from repro.rl import (
-    ChainEnv,
-    CliffWalk,
-    EpsilonGreedyPolicy,
-    GridWorld,
-    QLearningAgent,
-    SarsaAgent,
-    TwoArmBandit,
-)
 from repro.util.validate import ValidationError
+
+from tests.toy_mdps import ChainEnv, CliffWalk, GridWorld, TwoArmBandit, train
 
 
 class TestGridWorld:
@@ -39,9 +32,8 @@ class TestGridWorld:
 
     def test_q_learning_solves(self):
         env = GridWorld(4, 4)
-        agent = QLearningAgent(alpha=0.5, gamma=0.95, discount_power=False,
-                               policy=EpsilonGreedyPolicy(0.2), seed=3)
-        agent.train(env, episodes=400)
+        agent = train(env, episodes=400, alpha=0.5, gamma=0.95,
+                      discount_power=False, epsilon=0.2, seed=3)
         # follow the greedy policy from the start; must reach the goal fast
         state = env.reset()
         for _ in range(12):
@@ -76,16 +68,14 @@ class TestCliffWalk:
         assert done and state == env.goal
         assert total == pytest.approx(-4.0)
 
-    @pytest.mark.parametrize("agent_cls", [QLearningAgent, SarsaAgent])
-    def test_agents_learn_a_safe_route(self, agent_cls):
-        """Both agents' greedy policies must reach the goal without ever
+    @pytest.mark.parametrize("rule", ["qlearning", "sarsa"])
+    def test_agents_learn_a_safe_route(self, rule):
+        """Both rules' greedy policies must reach the goal without ever
         stepping off the cliff."""
         env = CliffWalk(5)
-        agent = agent_cls(alpha=0.4, gamma=0.95, discount_power=False,
-                          policy=EpsilonGreedyPolicy(
-                              0.15, epsilon_is_exploration=True),
-                          seed=11, max_steps=2000)
-        agent.train(env, episodes=600)
+        agent = train(env, rule, episodes=600, alpha=0.4, gamma=0.95,
+                      discount_power=False, epsilon=0.15,
+                      epsilon_is_exploration=True, seed=11, max_steps=2000)
         state = env.reset()
         steps = 0
         while env.actions(state) and steps < 4 * env.width:
@@ -101,11 +91,9 @@ class TestCliffWalk:
         """Q-learning converges to the shortest (edge-hugging) route:
         up, rights along the row above the cliff, down."""
         env = CliffWalk(5)
-        agent = QLearningAgent(alpha=0.4, gamma=0.95, discount_power=False,
-                               policy=EpsilonGreedyPolicy(
-                                   0.15, epsilon_is_exploration=True),
-                               seed=11, max_steps=2000)
-        agent.train(env, episodes=600)
+        agent = train(env, episodes=600, alpha=0.4, gamma=0.95,
+                      discount_power=False, epsilon=0.15,
+                      epsilon_is_exploration=True, seed=11, max_steps=2000)
         state = env.reset()
         total = 0.0
         for _ in range(4 * env.width):

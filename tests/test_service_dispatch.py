@@ -325,3 +325,57 @@ def test_finite_weights_and_deadlines_still_accepted() -> None:
     assert TenantSpec("a", weight=0.5, relative_deadline=60.0).weight == 0.5
     assert _job(0.0).deadline == 0.0
     assert _trace_job("5.0")[0].deadline == 5.0
+
+
+# -- malformed arrival-trace JSON --------------------------------------------
+
+_TRACE_FIELDS = (
+    '"job_id": 0, "tenant": "a", "workflow": "montage", "size": 20, '
+    '"arrival_time": 0.0, "workflow_seed": 1, "deadline": null'
+)
+
+
+def _trace_with(old, new):
+    """A one-job trace whose job has ``old`` replaced by ``new``."""
+    assert old in _TRACE_FIELDS
+    return '{"jobs": [{%s}]}' % _TRACE_FIELDS.replace(old, new)
+
+
+_MALFORMED_TRACES = [
+    pytest.param("not json", "malformed arrival trace JSON", id="not-json"),
+    pytest.param('{"jobs": 5}', "'jobs' must be a list", id="jobs-not-list"),
+    pytest.param('{"jobs": [5]}', "job 0: job must be an object",
+                 id="job-not-object"),
+    pytest.param(_trace_with('"size": 20, ', ""), "job 0: missing field 'size'",
+                 id="missing-size"),
+    pytest.param(_trace_with('"size": 20', '"size": "abc"'),
+                 "job 0: size must be an integer", id="size-string"),
+    pytest.param(_trace_with('"size": 20', '"size": 25.7'),
+                 "job 0: size must be an integer", id="size-fraction"),
+    pytest.param(_trace_with('"job_id": 0', '"job_id": true'),
+                 "job 0: job_id must be an integer", id="job-id-bool"),
+    pytest.param(_trace_with('"workflow_seed": 1', '"workflow_seed": 1.0'),
+                 "job 0: workflow_seed must be an integer", id="seed-float"),
+    pytest.param(_trace_with('"deadline": null', '"deadline": "soon"'),
+                 "job 0: deadline must be a number", id="deadline-string"),
+    pytest.param(_trace_with('"arrival_time": 0.0', '"arrival_time": [0]'),
+                 "job 0: arrival_time must be a number", id="arrival-list"),
+    pytest.param(_trace_with('"tenant": "a"', '"tenant": 7'),
+                 "job 0: tenant must be a string", id="tenant-int"),
+    pytest.param(_trace_with('"workflow": "montage"', '"workflow": null'),
+                 "job 0: workflow must be a string", id="workflow-null"),
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED_TRACES)
+def test_malformed_trace_json_is_a_validation_error(text, message) -> None:
+    with pytest.raises(ValidationError, match=message):
+        schedule_from_json(text)
+
+
+def test_trace_json_integers_stay_legal_as_times() -> None:
+    job = schedule_from_json(_trace_with(
+        '"arrival_time": 0.0, "workflow_seed": 1, "deadline": null',
+        '"arrival_time": 3, "workflow_seed": 1, "deadline": 9',
+    ))[0]
+    assert (job.arrival_time, job.deadline) == (3.0, 9.0)

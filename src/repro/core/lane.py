@@ -408,7 +408,7 @@ def _drive_episode(
     file_locations = state.file_locations
     fl_get = file_locations.get
     ready_time = state.ready_time
-    ready_ids = state._ready_ids
+    ready_ids = state.ready_ids
     records = state.records
     terms_memo = estimates._stage_in_terms
     cmp_memo = estimates._compute
@@ -689,8 +689,8 @@ def _drive_episode(
 
         # -- epilogue: write localized state back ------------------------
         state.now = now
-        state._n_finished = n_finished
-        state._n_running = 0
+        state.n_finished = n_finished
+        state.n_running = 0
         state._vm_version = vmv
         state._ready_version = rv
         state._idle_version = iv

@@ -39,8 +39,6 @@ from repro.service.service import (
 from repro.service.timeline import (
     FleetTimeline,
     JobRun,
-    ServiceError,
-    ServicePending,
     ServiceView,
 )
 
@@ -57,8 +55,6 @@ __all__ = [
     "SchedulerService",
     "SchedulingPolicy",
     "ServiceConfig",
-    "ServiceError",
-    "ServicePending",
     "ServiceResult",
     "ServiceView",
     "TenantSpec",

@@ -3,12 +3,17 @@
 One :class:`FleetTimeline` owns one VM fleet, one global
 :class:`~repro.sim.events.EventQueue` and one simulated clock, and
 drives every admitted job's DAG through them concurrently.  It is the
-streaming counterpart of :meth:`repro.sim.kernel.EpisodeKernel.run_episode`:
-the same event semantics (completions before dispatch at equal times,
-coalesced dispatch events, float-exact staging/compute arithmetic via
-:class:`~repro.sim.estimates.NominalEstimateCache`), but with *jobs
-arriving over time* and a pluggable policy choosing among the ready
-activations of **all** in-flight jobs at every decision point.
+streaming counterpart of :meth:`repro.sim.kernel.EpisodeKernel.run_episode`
+and runs on the kernel's execution semantics, not a copy of them: the
+timeline is a :class:`~repro.sim.kernel.FleetState` (clock, queue, VM
+slots, idle cache, the attempt-planning step) and each admitted job a
+:class:`JobRun`, which is a :class:`~repro.sim.kernel.DagState`
+(activation state machine, ready set, records, the attempt-completion
+step).  What the timeline adds is *jobs arriving over time*, admission
+control, a per-tenant job index and a pluggable policy choosing among
+the ready activations of **all** in-flight jobs at every decision point.
+``tests/test_timeline_oracle.py`` holds a one-job run to the kernel's
+episode, record for record.
 
 Multi-tenancy isolation (the single-tenancy audit in PR 6 — pinned by
 ``tests/test_service_multitenancy.py``):
@@ -34,8 +39,6 @@ admission order or per tenant in ``(arrival_time, job_id)`` order.
 
 from __future__ import annotations
 
-from bisect import insort
-from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -47,17 +50,20 @@ from typing import (
     Tuple,
 )
 
-import numpy as np
-
-from repro.dag.activation import Activation, ActivationState
+from repro.dag.activation import Activation
 from repro.dag.graph import Workflow
 from repro.service.jobs import Job
 from repro.service.metrics import JobRecord, ServiceResult
 from repro.sim.estimates import NominalEstimateCache
-from repro.sim.events import Event, EventQueue, EventType
+from repro.sim.events import Event, EventType
 from repro.sim.failures import FailureModel, NoFailures
 from repro.sim.fluctuation import FluctuationModel, NoFluctuation
-from repro.sim.metrics import ActivationRecord
+from repro.sim.kernel import (
+    DagState,
+    FleetState,
+    PendingExecution,
+    SimulationError,
+)
 from repro.sim.vm import Vm
 from repro.util.rng import RngService
 from repro.util.validate import ValidationError, check_positive
@@ -71,41 +77,15 @@ WorkflowFactory = Callable[["Job"], "Workflow"]
 __all__ = [
     "FleetTimeline",
     "JobRun",
-    "ServiceError",
-    "ServicePending",
     "ServiceView",
 ]
 
 
-class ServiceError(RuntimeError):
-    """Raised when the service timeline cannot make progress."""
-
-
-@dataclass
-class ServicePending:
-    """One in-flight execution attempt, tagged with its owning job."""
-
-    job_id: int
-    activation_id: int
-    vm_id: int
-    ready_time: float
-    dispatch_time: float
-    stage_in: float
-    exec_duration: float
-    planned_finish: float
-    attempt: int
-    outcome: str  #: "success" | "retry" | "failure"
-    event: Optional[Event] = None
-
-
-class JobRun:
-    """Private execution state of one admitted job.
-
-    Everything in here is job-local: the workflow instance (its
-    activation ``state`` fields are this job's progress), the
-    file-placement map (names are only unique *within* a workflow) and
-    the nominal-estimate cache (keyed by activation id, which restarts
-    at 0 for every generated DAG).
+class JobRun(DagState):
+    """Private execution state of one admitted job: a
+    :class:`~repro.sim.kernel.DagState` over the job's own workflow
+    instance, plus its own nominal-estimate cache (keyed by activation
+    id, which restarts at 0 for every generated DAG).
     """
 
     def __init__(
@@ -118,6 +98,12 @@ class JobRun:
         upload_outputs: bool,
         admit_time: float,
     ) -> None:
+        super().__init__(
+            f"job {job.job_id}",
+            {ac.id: ac for ac in workflow.activations},
+            {i: tuple(workflow.children(i)) for i in workflow.activation_ids},
+            {i: len(workflow.parents(i)) for i in workflow.activation_ids},
+        )
         self.job = job
         self.workflow = workflow
         self.admit_time = admit_time
@@ -125,101 +111,7 @@ class JobRun:
         self.estimates = NominalEstimateCache(
             fleet, latency=latency, upload_outputs=upload_outputs
         )
-        self._ac_by_id: Dict[int, Activation] = {
-            ac.id: ac for ac in workflow.activations
-        }
-        self._children: Dict[int, Tuple[int, ...]] = {
-            i: tuple(workflow.children(i)) for i in workflow.activation_ids
-        }
-        self._unfinished_parents: Dict[int, int] = {
-            i: len(workflow.parents(i)) for i in workflow.activation_ids
-        }
-        self.n_total = len(self._ac_by_id)
-        self.n_finished = 0
-        self.n_failed = 0
-        self.n_running = 0
-        self.ready_ids: List[int] = []
-        self.ready_time: Dict[int, float] = {}
-        self.attempts: Dict[int, int] = {}
-        self.file_locations: Dict[str, int] = {}
-        self.records: List[ActivationRecord] = []
-        self._ready_cache: Optional[Tuple[Activation, ...]] = None
-        for i in sorted(workflow.entries()):
-            self._ac_by_id[i].transition(ActivationState.READY)
-            self.ready_ids.append(i)
-            self.ready_time[i] = admit_time
-
-    # -- views -----------------------------------------------------------
-
-    def activation(self, activation_id: int) -> Activation:
-        try:
-            return self._ac_by_id[activation_id]
-        except KeyError:
-            raise ValidationError(
-                f"job {self.job.job_id} has no activation {activation_id}"
-            ) from None
-
-    def ready_view(self) -> Tuple[Activation, ...]:
-        """READY activations ordered by id; cached until the set changes."""
-        if self._ready_cache is None:
-            self._ready_cache = tuple(
-                self._ac_by_id[i] for i in self.ready_ids
-            )
-        return self._ready_cache
-
-    @property
-    def done(self) -> bool:
-        """Terminal: every activation finished or terminally failed."""
-        return self.n_finished + self.n_failed == self.n_total
-
-    @property
-    def failed(self) -> bool:
-        return self.n_failed > 0
-
-    # -- transitions (job-local mirrors of EpisodeState's) ---------------
-
-    def make_ready(self, activation: Activation, *, was_running: bool) -> None:
-        activation.transition(ActivationState.READY)
-        insort(self.ready_ids, activation.id)
-        if was_running:
-            self.n_running -= 1
-        self._ready_cache = None
-
-    def start_running(self, activation: Activation) -> None:
-        activation.transition(ActivationState.RUNNING)
-        self.ready_ids.remove(activation.id)
-        self.n_running += 1
-        self._ready_cache = None
-
-    def finish_success(self, activation: Activation, now: float) -> None:
-        activation.transition(ActivationState.FINISHED)
-        self.n_running -= 1
-        self.n_finished += 1
-        released = False
-        for child_id in self._children[activation.id]:
-            remaining = self._unfinished_parents[child_id] - 1
-            self._unfinished_parents[child_id] = remaining
-            child = self._ac_by_id[child_id]
-            if remaining == 0 and child.state is ActivationState.LOCKED:
-                child.transition(ActivationState.READY)
-                insort(self.ready_ids, child_id)
-                self.ready_time[child_id] = now
-                released = True
-        if released:
-            self._ready_cache = None
-
-    def finish_failure(self, activation: Activation) -> None:
-        activation.transition(ActivationState.FAILED)
-        self.n_running -= 1
-        self.n_failed += 1
-        stack = list(self._children[activation.id])
-        while stack:
-            node = stack.pop()
-            ac = self._ac_by_id[node]
-            if ac.state is ActivationState.LOCKED:
-                ac.transition(ActivationState.FAILED)
-                self.n_failed += 1
-                stack.extend(self._children[node])
+        self.release_entries(workflow.entries(), admit_time)
 
 
 class ServiceView:
@@ -280,8 +172,13 @@ class ServiceView:
         )
 
 
-class FleetTimeline:
+class FleetTimeline(FleetState):
     """The multiplexing event loop over one shared fleet.
+
+    A :class:`~repro.sim.kernel.FleetState` — the clock, the event
+    queue, the VM slots, the idle cache and the execution-attempt step
+    an episode runs on — that adds job admission, the per-tenant job
+    index and retirement, and runs one :class:`JobRun` per admitted job.
 
     Parameters
     ----------
@@ -317,70 +214,33 @@ class FleetTimeline:
         horizon: float = 1e9,
         seed: int = 0,
     ) -> None:
-        if not fleet:
-            raise ValidationError("fleet must contain at least one VM")
-        ids = [vm.id for vm in fleet]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("VM ids must be unique")
-        if max_attempts < 1:
-            raise ValidationError("max_attempts must be >= 1")
         if max_in_flight is not None and max_in_flight < 1:
             raise ValidationError("max_in_flight must be >= 1 or None")
+        self.horizon = check_positive("horizon", horizon)
         # id order, whatever the caller's order: policies break cost ties
         # by taking the first idle VM, which must be the lowest id
-        self.fleet: List[Vm] = sorted(fleet, key=lambda vm: vm.id)
-        self.vm_by_id: Dict[int, Vm] = {vm.id: vm for vm in self.fleet}
-        self.fluctuation = (
-            fluctuation if fluctuation is not None else NoFluctuation()
+        super().__init__(
+            sorted(fleet, key=lambda vm: vm.id),
+            fluctuation if fluctuation is not None else NoFluctuation(),
+            failures if failures is not None else NoFailures(),
+            int(max_attempts),
         )
-        self.failures = failures if failures is not None else NoFailures()
-        self.max_attempts = int(max_attempts)
+        self.vm_by_id: Dict[int, Vm] = {vm.id: vm for vm in self.fleet}
         self.latency = latency
         self.upload_outputs = bool(upload_outputs)
         self.max_in_flight = max_in_flight
-        self.horizon = check_positive("horizon", horizon)
         self.seed = int(seed)
 
-        self.now = 0.0
-        self.queue = EventQueue()
         self.admitted: Dict[int, JobRun] = {}  # insertion = admission order
         # the same runs grouped by tenant, each list in arrival order
         self.tenant_jobs: Dict[str, List[JobRun]] = {}
         self.waiting: List[Job] = []
-        self.in_flight: Dict[Tuple[int, int], ServicePending] = {}
-        self.busy_time: Dict[int, float] = {}
         self.tenant_busy_time: Dict[str, float] = {}
         self.tenant_running: Dict[str, int] = {}
         self.completed: List[JobRecord] = []
-        self.rng_fluct: np.random.Generator
-        self.rng_fail: np.random.Generator
-        self._dispatch_scheduled = False
-        # bumped at every slot change, so (now, _vm_version) keys the
-        # idle tuple exactly as EpisodeState.idle_view does
-        self._vm_version = 0
-        self._idle_key: Optional[Tuple[float, int]] = None
-        self._idle_cache: Tuple[Vm, ...] = ()
         self._view = ServiceView(self)
         self._workflow_factory: WorkflowFactory = _registry_factory
         self._ran = False
-
-    # -- fleet views -----------------------------------------------------
-
-    def idle_view(self) -> Tuple[Vm, ...]:
-        """Idle VMs ordered by id; cached per (time, slot change)."""
-        key = (self.now, self._vm_version)
-        if key != self._idle_key:
-            self._idle_key = key
-            now = self.now
-            # Vm.is_idle, inlined: this runs at every decision
-            self._idle_cache = tuple(
-                vm
-                for vm in self.fleet
-                if not vm.migrating
-                and now >= vm.available_at
-                and len(vm.running) < vm.type.vcpus
-            )
-        return self._idle_cache
 
     def has_ready(self) -> bool:
         for run in self.admitted.values():
@@ -401,7 +261,8 @@ class FleetTimeline:
 
         Single-use: a timeline accumulates global busy-time state, so
         each run needs a fresh instance (the :class:`SchedulerService`
-        facade handles that).
+        facade handles that).  Job ids must be unique: they key the
+        admitted jobs and the VM slot tokens.
 
         ``workflow_factory(job) -> Workflow`` materializes each job's
         DAG at admission; the default builds from the workflow registry
@@ -412,21 +273,18 @@ class FleetTimeline:
                 "FleetTimeline.run is single-use; build a new timeline "
                 "per service run"
             )
+        ids = sorted(job.job_id for job in jobs)
+        for before, job_id in zip(ids, ids[1:]):
+            if job_id == before:
+                raise ValidationError(f"duplicate job id {job_id}")
         self._ran = True
         if workflow_factory is not None:
             self._workflow_factory = workflow_factory
         rng = RngService(self.seed)
         self.rng_fluct = rng.stream("service-fluctuation")
         self.rng_fail = rng.stream("service-failures")
-
-        for vm in self.fleet:
-            vm.reset()
-            self.busy_time[vm.id] = 0.0
-            boot = vm.type.boot_time
-            vm.available_at = boot
-            if boot > 0:
-                self.queue.schedule(boot, EventType.VM_READY, vm.id)
-        self._vm_version += 1  # the resets above emptied every slot
+        self.clear_fleet()
+        self.boot()
 
         ordered = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
         for job in ordered:
@@ -436,16 +294,16 @@ class FleetTimeline:
         while len(self.completed) < n_jobs:
             event = self.queue.pop()
             if event is None:
-                raise ServiceError(
+                raise SimulationError(
                     f"service deadlocked at t={self.now:.3f}: "
                     f"{len(self.completed)}/{n_jobs} jobs complete, "
                     f"{len(self.waiting)} waiting admission, no events"
                 )
             if event.time < self.now - 1e-9:
-                raise ServiceError("event time regressed (internal bug)")
+                raise SimulationError("event time regressed (internal bug)")
             self.now = max(self.now, event.time)
             if self.now > self.horizon:
-                raise ServiceError(
+                raise SimulationError(
                     f"service exceeded horizon {self.horizon} with "
                     f"{n_jobs - len(self.completed)} jobs unfinished"
                 )
@@ -467,21 +325,16 @@ class FleetTimeline:
         if event.type is EventType.JOB_ARRIVAL:
             self.waiting.append(event.payload)
             self._admit(policy)
-            self._schedule_dispatch()
+            self.schedule_dispatch()
         elif event.type is EventType.ACTIVATION_DONE:
             self._complete(policy, event.payload)
         elif event.type is EventType.DISPATCH:
-            self._dispatch_scheduled = False
+            self.dispatch_scheduled = False
             self._dispatch_loop(policy)
         elif event.type is EventType.VM_READY:
-            self._schedule_dispatch()
+            self.schedule_dispatch()
         else:  # pragma: no cover - defensive
-            raise ServiceError(f"unhandled event type {event.type!r}")
-
-    def _schedule_dispatch(self) -> None:
-        if not self._dispatch_scheduled:
-            self._dispatch_scheduled = True
-            self.queue.schedule(self.now, EventType.DISPATCH)
+            raise SimulationError(f"unhandled event type {event.type!r}")
 
     # -- admission -------------------------------------------------------
 
@@ -535,9 +388,7 @@ class FleetTimeline:
 
     def _dispatch_loop(self, policy: "SchedulingPolicy") -> None:
         while True:
-            if not self.has_ready():
-                return
-            if not self.idle_view():
+            if not self.has_ready() or not self.idle_view():
                 return
             decision = policy.select(self._view)
             if decision is None:
@@ -553,116 +404,34 @@ class FleetTimeline:
         vm = self.vm_by_id.get(vm_id)
         if vm is None:
             raise ValidationError(f"policy chose unknown VM {vm_id}")
-        if ac.state is not ActivationState.READY:
-            raise ValidationError(
-                f"policy chose activation {activation_id} of job {job_id} "
-                f"in state {ac.state.name}, expected READY"
-            )
-        if not vm.is_idle(self.now):
-            raise ValidationError(
-                f"policy chose VM {vm_id} which is not idle at "
-                f"t={self.now:.3f}"
-            )
-
-        attempt = run.attempts.get(activation_id, 0)
-        stage_in = run.estimates.stage_in_time(ac, vm, run.file_locations)
-        factor = self.fluctuation.factor(
-            vm, self.now, self.busy_time[vm.id], self.rng_fluct
+        self.start_attempt(
+            run, ac, vm, _slot_key(job_id, activation_id), run.estimates,
+            job_id,
         )
-        compute = run.estimates.compute_time(ac, vm) * factor
-        stage_out = run.estimates.stage_out_time(ac, vm)
-
-        fails = self.failures.attempt_fails(ac, vm, attempt, self.rng_fail)
-        if fails:
-            duration = (
-                stage_in + compute * self.failures.failure_runtime_fraction
-            )
-            outcome = (
-                "retry" if attempt + 1 < self.max_attempts else "failure"
-            )
-        else:
-            duration = stage_in + compute + stage_out
-            outcome = "success"
-
-        run.start_running(ac)
-        vm.start(_slot_key(job_id, activation_id))
-        self._vm_version += 1
         if run.first_dispatch_time is None:
             run.first_dispatch_time = self.now
         self.tenant_running[run.job.tenant] += 1
-        pending = ServicePending(
-            job_id=job_id,
-            activation_id=activation_id,
-            vm_id=vm_id,
-            ready_time=run.ready_time[activation_id],
-            dispatch_time=self.now,
-            stage_in=stage_in,
-            exec_duration=duration,
-            planned_finish=self.now + duration,
-            attempt=attempt,
-            outcome=outcome,
-        )
-        pending.event = self.queue.schedule(
-            pending.planned_finish, EventType.ACTIVATION_DONE, pending
-        )
-        self.in_flight[(job_id, activation_id)] = pending
 
     # -- completion ------------------------------------------------------
 
     def _complete(
-        self, policy: "SchedulingPolicy", pending: ServicePending
+        self, policy: "SchedulingPolicy", pending: PendingExecution
     ) -> None:
         run = self.admitted[pending.job_id]
-        ac = run.activation(pending.activation_id)
+        token = _slot_key(pending.job_id, pending.activation_id)
         vm = self.vm_by_id[pending.vm_id]
-        vm.finish(_slot_key(pending.job_id, pending.activation_id))
+        vm.finish(token)
         self._vm_version += 1
-        del self.in_flight[(pending.job_id, pending.activation_id)]
+        del self.in_flight[token]
         elapsed = self.now - pending.dispatch_time
         self.busy_time[vm.id] += elapsed
         self.tenant_busy_time[run.job.tenant] += elapsed
         self.tenant_running[run.job.tenant] -= 1
-
-        if pending.outcome == "success":
-            for f in ac.outputs:
-                run.file_locations[f.name] = vm.id
-            run.records.append(
-                ActivationRecord(
-                    activation_id=ac.id,
-                    activity=ac.activity,
-                    vm_id=vm.id,
-                    ready_time=pending.ready_time,
-                    start_time=pending.dispatch_time,
-                    finish_time=self.now,
-                    stage_in_time=pending.stage_in,
-                    attempts=pending.attempt + 1,
-                    failed=False,
-                )
-            )
-            run.finish_success(ac, self.now)
-        elif pending.outcome == "retry":
-            run.attempts[ac.id] = pending.attempt + 1
-            run.make_ready(ac, was_running=True)
-        else:  # terminal failure
-            run.records.append(
-                ActivationRecord(
-                    activation_id=ac.id,
-                    activity=ac.activity,
-                    vm_id=vm.id,
-                    ready_time=pending.ready_time,
-                    start_time=pending.dispatch_time,
-                    finish_time=self.now,
-                    stage_in_time=pending.stage_in,
-                    attempts=pending.attempt + 1,
-                    failed=True,
-                )
-            )
-            run.finish_failure(ac)
-
+        run.settle(pending, self.now)
         if run.done:
             self._retire(run)
             self._admit(policy)
-        self._schedule_dispatch()
+        self.schedule_dispatch()
 
     def _retire(self, run: JobRun) -> None:
         """Record a finished job and free its in-flight slot."""

@@ -41,8 +41,10 @@ from repro.sim.spot import NoRevocations, PoissonRevocations, Revocation, Revoca
 from repro.sim.metrics import ActivationRecord, SimulationResult, VmUsage
 from repro.sim.estimates import NominalEstimateCache
 from repro.sim.kernel import (
+    DagState,
     EpisodeKernel,
     EpisodeState,
+    FleetState,
     PendingExecution,
     SimulationError,
 )
@@ -87,8 +89,10 @@ __all__ = [
     "SimulationResult",
     "VmUsage",
     "NominalEstimateCache",
+    "DagState",
     "EpisodeKernel",
     "EpisodeState",
+    "FleetState",
     "PendingExecution",
     "SimulationError",
     "SimulationContext",

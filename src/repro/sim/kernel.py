@@ -10,11 +10,15 @@ The simulation layer is split into three tiers (see
   planning-time :class:`~repro.schedulers.base.EstimateModel` objects.
   Build one kernel per (workflow, fleet, models) configuration and call
   :meth:`EpisodeKernel.run_episode` once per episode.
-- :class:`EpisodeState` — everything one episode mutates: simulated
-  time, the event queue, activation states (with incremental ready-set
-  and terminal-predicate counters), per-VM slots, file placement, RNG
-  streams.  ``reset(seed)`` is O(activations + VMs) — no DAG copy, no
-  cache rebuild.
+- :class:`EpisodeState` — everything one episode mutates, in two
+  halves.  :class:`DagState` is one workflow's progress: activation
+  states with an incremental ready set and terminal-predicate
+  counters, file placement, records.  :class:`FleetState` is the
+  fleet's: simulated time, the event queue, per-VM slots, the model RNG
+  streams and the execution-attempt step.  ``reset(seed)`` is
+  O(activations + VMs) — no DAG copy, no cache rebuild.  The streaming
+  service (:mod:`repro.service.timeline`) runs many ``DagState`` jobs
+  on one ``FleetState``; an episode is the one-job case.
 - the event loop — :meth:`EpisodeKernel.run_episode` drives (1)+(2),
   preserving the exact event semantics, hook order and float arithmetic
   of the original :class:`~repro.sim.simulator.WorkflowSimulator`, which
@@ -68,15 +72,15 @@ from repro.util.rng import RngService
 from repro.util.validate import ValidationError, check_positive
 
 __all__ = [
+    "DagState",
     "EpisodeKernel",
     "EpisodeState",
+    "FleetState",
     "PendingExecution",
     "SimulationContext",
     "SimulationError",
     "kernel_fingerprint",
 ]
-
-_TERMINAL_STATES = ("successfully finished", "finished with failure")
 
 #: Cap on the content-addressed (ready, idle) -> pairs-tuple interner.
 #: Its one user is the scheduler-object path (``action_pairs``); the
@@ -110,6 +114,7 @@ class PendingExecution:
     attempt: int
     outcome: str  #: "success" | "retry" | "failure"
     event: Optional[Event] = None
+    job_id: int = 0  #: the owning job on a shared fleet (0 in an episode)
 
     @property
     def queue_time(self) -> float:
@@ -122,15 +127,388 @@ class PendingExecution:
         return self.exec_duration
 
 
-class EpisodeState:
+class DagState:
+    """One workflow's execution progress.
+
+    Owns the activation ``state`` fields of one workflow instance, the
+    sorted READY ids, the unfinished-parent countdown, ready times,
+    attempt counts, file placement (names are only unique *within* a
+    workflow), the completed records and the terminal-predicate
+    counters.  Every transition goes through the methods here, so the
+    trackers can never drift from the activation objects.
+
+    ``name`` labels error messages; ``ac_by_id`` and ``children`` are
+    the workflow's frozen index maps (children sorted), ``pred_count``
+    every activation's parent count.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        ac_by_id: Dict[int, Activation],
+        children: Dict[int, Tuple[int, ...]],
+        pred_count: Dict[int, int],
+    ) -> None:
+        self.name = name
+        self._ac_by_id = ac_by_id
+        self._children = children
+        self._pred_count = pred_count
+        self.n_total = len(ac_by_id)
+        # monotonic generation counter of the ready set's contents.  It
+        # only ever increases (never reset — schedulers cache across
+        # episodes keyed on it)
+        self._ready_version = 0
+        self.clear_dag()
+
+    def clear_dag(self) -> None:
+        """Forget all progress (the activation objects are the caller's)."""
+        self.ready_ids: List[int] = []
+        self._unfinished_parents = dict(self._pred_count)
+        self.ready_time: Dict[int, float] = {}
+        self.attempts: Dict[int, int] = {}
+        self.file_locations: Dict[str, int] = {}
+        self.records: List[ActivationRecord] = []
+        self.n_finished = 0
+        self.n_failed = 0
+        self.n_running = 0
+        self._ready_cache: Optional[Tuple[Activation, ...]] = None
+        self._records_cache: Optional[Tuple[ActivationRecord, ...]] = None
+        self._ready_version += 1
+
+    def release_entries(self, entry_ids: Sequence[int], now: float) -> None:
+        """LOCKED -> READY for the (sorted) entry activations."""
+        for i in entry_ids:
+            self._ac_by_id[i].transition(ActivationState.READY)
+            self.ready_ids.append(i)
+            self.ready_time[i] = now
+
+    # -- views and the paper's workflow-state predicate, O(1) -----------
+
+    def activation(self, activation_id: int) -> Activation:
+        """The activation with the given id."""
+        try:
+            return self._ac_by_id[activation_id]
+        except KeyError:
+            raise ValidationError(
+                f"unknown activation {activation_id} in {self.name}"
+            ) from None
+
+    @property
+    def done(self) -> bool:
+        """Terminal: every activation finished or terminally failed."""
+        return self.n_finished + self.n_failed == self.n_total
+
+    @property
+    def failed(self) -> bool:
+        return self.n_failed > 0
+
+    def workflow_state(self) -> str:
+        """The paper's 4-valued workflow state, from maintained counters.
+
+        Agrees with :meth:`repro.dag.graph.Workflow.workflow_state`'s
+        O(n) scan at every point of an execution (the activation
+        ``state`` fields are kept in sync by the transition methods).
+        """
+        if self.done:
+            if self.n_failed:
+                return "finished with failure"
+            return "successfully finished"
+        return "available" if self.ready_ids else "unavailable"
+
+    def ready_view(self) -> Tuple[Activation, ...]:
+        """READY activations ordered by id; cached until the set changes."""
+        if self._ready_cache is None:
+            ac_by_id = self._ac_by_id
+            self._ready_cache = tuple(ac_by_id[i] for i in self.ready_ids)
+        return self._ready_cache
+
+    def records_view(self) -> Tuple[ActivationRecord, ...]:
+        """Completed records; cached until the next completion."""
+        if self._records_cache is None:
+            self._records_cache = tuple(self.records)
+        return self._records_cache
+
+    @property
+    def ready_version(self) -> int:
+        """Monotonic generation counter of the READY set's contents."""
+        return self._ready_version
+
+    # -- activation transitions ------------------------------------------
+
+    def make_ready(self, activation: Activation) -> None:
+        """RUNNING -> READY (retry / revocation); keeps its ready_time."""
+        activation.transition(ActivationState.READY)
+        insort(self.ready_ids, activation.id)
+        self.n_running -= 1
+        self._ready_cache = None
+        self._ready_version += 1
+
+    def start_running(self, activation: Activation) -> None:
+        """READY -> RUNNING (the caller occupies the VM slot)."""
+        activation.transition(ActivationState.RUNNING)
+        del self.ready_ids[bisect_left(self.ready_ids, activation.id)]
+        self.n_running += 1
+        self._ready_cache = None
+        self._ready_version += 1
+
+    def finish_success(self, activation: Activation, now: float) -> None:
+        """RUNNING -> FINISHED; release now-unblocked children at ``now``.
+
+        O(out-degree) via the unfinished-parent countdown instead of
+        re-checking every parent of every child.
+        """
+        activation.transition(ActivationState.FINISHED)
+        self.n_running -= 1
+        self.n_finished += 1
+        ac_by_id = self._ac_by_id
+        released = False
+        for child_id in self._children[activation.id]:
+            remaining = self._unfinished_parents[child_id] - 1
+            self._unfinished_parents[child_id] = remaining
+            child = ac_by_id[child_id]
+            if remaining == 0 and child.state is ActivationState.LOCKED:
+                child.transition(ActivationState.READY)
+                insort(self.ready_ids, child_id)
+                self.ready_time[child_id] = now
+                released = True
+        if released:
+            self._ready_cache = None
+            self._ready_version += 1
+
+    def finish_failure(self, activation: Activation) -> None:
+        """RUNNING -> FAILED, cascading to LOCKED descendants.
+
+        Descendants of a failed activation can never run; marking them
+        FAILED keeps the paper's terminal predicate reachable.
+        """
+        activation.transition(ActivationState.FAILED)
+        self.n_running -= 1
+        self.n_failed += 1
+        stack = list(self._children[activation.id])
+        while stack:
+            node = stack.pop()
+            ac = self._ac_by_id[node]
+            if ac.state is ActivationState.LOCKED:
+                ac.transition(ActivationState.FAILED)
+                self.n_failed += 1
+                stack.extend(self._children[node])
+
+    def settle(
+        self, pending: PendingExecution, now: float
+    ) -> Optional[ActivationRecord]:
+        """The completion half of an attempt whose slot was released.
+
+        Success publishes the outputs, records the activation and
+        releases its children; a retry re-queues it (keeping its ready
+        time); a terminal failure records it and cascades to its
+        descendants.  Returns the record, or ``None`` for a retry.
+        """
+        ac = self._ac_by_id[pending.activation_id]
+        if pending.outcome == "retry":
+            self.attempts[ac.id] = pending.attempt + 1
+            self.make_ready(ac)
+            return None
+        success = pending.outcome == "success"
+        if success:
+            for f in ac.outputs:
+                self.file_locations[f.name] = pending.vm_id
+        record = ActivationRecord(
+            activation_id=ac.id,
+            activity=ac.activity,
+            vm_id=pending.vm_id,
+            ready_time=pending.ready_time,
+            start_time=pending.dispatch_time,
+            finish_time=now,
+            stage_in_time=pending.stage_in,
+            attempts=pending.attempt + 1,
+            failed=not success,
+        )
+        self.records.append(record)
+        self._records_cache = None
+        if success:
+            self.finish_success(ac, now)
+        else:
+            self.finish_failure(ac)
+        return record
+
+
+class FleetState:
+    """The fleet's execution state and the execution-attempt step.
+
+    Owns the simulated clock, the event queue, the runtime slots of the
+    VMs in ``fleet``, per-VM busy time, the in-flight attempts keyed by
+    slot token, the coalesced-dispatch flag and the idle-VM cache, plus
+    the fluctuation and failure models, their RNG streams and the
+    attempt budget.  :meth:`start_attempt` plans an attempt and puts it
+    in flight; :meth:`DagState.settle` completes it.
+    """
+
+    rng_fluct: np.random.Generator
+    rng_fail: np.random.Generator
+
+    def __init__(
+        self,
+        fleet: Sequence[Vm],
+        fluctuation: FluctuationModel,
+        failures: FailureModel,
+        max_attempts: int,
+    ) -> None:
+        if not fleet:
+            raise ValidationError("fleet must contain at least one VM")
+        if len({vm.id for vm in fleet}) != len(fleet):
+            raise ValidationError("VM ids must be unique")
+        if max_attempts < 1:
+            raise ValidationError("max_attempts must be >= 1")
+        self.fleet = fleet
+        self.fluctuation = fluctuation
+        self.failures = failures
+        self.max_attempts = max_attempts
+        # bumped at every slot change, so (now, _vm_version) keys the
+        # idle tuple.  _idle_version counts changes of the idle tuple's
+        # contents: monotonic like DagState._ready_version, and it bumps
+        # only when the rebuilt tuple differs, so a pure time step does
+        # not invalidate downstream (ready, idle) cross-product caches
+        self._vm_version = 0
+        self._idle_version = 0
+        self.clear_fleet()
+
+    def clear_fleet(self) -> None:
+        """Empty every VM slot, the clock, the queue and the busy time."""
+        for vm in self.fleet:
+            vm.reset()
+        self._vm_version += 1
+        self.now = 0.0
+        self.queue = EventQueue()
+        self.busy_time: Dict[int, float] = {vm.id: 0.0 for vm in self.fleet}
+        self.in_flight: Dict[int, PendingExecution] = {}
+        self.dispatch_scheduled = False
+        self._idle_key: Optional[Tuple[float, int]] = None
+        self._idle_cache: Tuple[Vm, ...] = ()
+        self._idle_version += 1
+
+    def boot(self) -> None:
+        """Start every VM: usable from its type's ``boot_time`` on."""
+        for vm in self.fleet:
+            boot = vm.type.boot_time
+            vm.available_at = boot
+            if boot > 0:
+                self.queue.schedule(boot, EventType.VM_READY, vm.id)
+
+    def idle_view(self) -> Tuple[Vm, ...]:
+        """Idle VMs in fleet order; cached per (time, slot change)."""
+        key = (self.now, self._vm_version)
+        if key != self._idle_key:
+            self._idle_key = key
+            now = self.now
+            # Vm.is_idle, inlined: this runs at every decision
+            rebuilt = tuple(
+                vm
+                for vm in self.fleet
+                if not vm.migrating
+                and now >= vm.available_at
+                and len(vm.running) < vm.type.vcpus
+            )
+            if rebuilt != self._idle_cache:
+                self._idle_cache = rebuilt
+                self._idle_version += 1
+        return self._idle_cache
+
+    @property
+    def idle_version(self) -> int:
+        """Monotonic generation counter of the idle set's contents.
+
+        Refreshes the idle view first: idleness depends on simulated
+        time, so the counter is only meaningful for the current ``now``.
+        """
+        self.idle_view()
+        return self._idle_version
+
+    def schedule_dispatch(self) -> None:
+        """Queue one decision point at ``now`` unless one is pending."""
+        if not self.dispatch_scheduled:
+            self.dispatch_scheduled = True
+            self.queue.schedule(self.now, EventType.DISPATCH)
+
+    def vm_release(self, vm: Vm, token: int) -> None:
+        vm.finish(token)
+        self._vm_version += 1
+
+    def vm_touch(self) -> None:
+        """Invalidate the idle cache after a direct VM field mutation."""
+        self._vm_version += 1
+
+    def start_attempt(
+        self,
+        dag: DagState,
+        activation: Activation,
+        vm: Vm,
+        token: int,
+        costs: Any,
+        job_id: int = 0,
+    ) -> PendingExecution:
+        """Plan one execution attempt of ``activation`` on ``vm``, now.
+
+        Draws in a fixed order: stage-in, one fluctuation factor,
+        compute, stage-out, then one failure draw.  Marks the activation
+        RUNNING, occupies a slot under ``token`` and schedules the
+        completion.  ``costs`` supplies ``stage_in_time``,
+        ``compute_time`` and ``stage_out_time`` (the kernel, or a job's
+        :class:`~repro.sim.estimates.NominalEstimateCache`).
+        """
+        if activation.state is not ActivationState.READY:
+            raise ValidationError(
+                f"cannot start activation {activation.id} of {dag.name}: "
+                f"it is {activation.state.name}, not READY"
+            )
+        now = self.now
+        if not vm.is_idle(now):
+            raise ValidationError(
+                f"cannot start on VM {vm.id}: not idle at t={now:.3f}"
+            )
+        activation_id = activation.id
+        attempt = dag.attempts.get(activation_id, 0)
+        stage_in = costs.stage_in_time(activation, vm, dag.file_locations)
+        factor = self.fluctuation.factor(
+            vm, now, self.busy_time[vm.id], self.rng_fluct
+        )
+        compute = costs.compute_time(activation, vm) * factor
+        stage_out = costs.stage_out_time(activation, vm)
+        failures = self.failures
+        if failures.attempt_fails(activation, vm, attempt, self.rng_fail):
+            duration = stage_in + compute * failures.failure_runtime_fraction
+            outcome = "retry" if attempt + 1 < self.max_attempts else "failure"
+        else:
+            duration = stage_in + compute + stage_out
+            outcome = "success"
+
+        dag.start_running(activation)
+        vm.start(token)
+        self._vm_version += 1
+        pending = PendingExecution(
+            activation_id=activation_id,
+            vm_id=vm.id,
+            ready_time=dag.ready_time[activation_id],
+            dispatch_time=now,
+            stage_in=stage_in,
+            exec_duration=duration,
+            planned_finish=now + duration,
+            attempt=attempt,
+            outcome=outcome,
+            job_id=job_id,
+        )
+        pending.event = self.queue.schedule(
+            pending.planned_finish, EventType.ACTIVATION_DONE, pending
+        )
+        self.in_flight[token] = pending
+        return pending
+
+
+class EpisodeState(DagState, FleetState):
     """Mutable per-episode simulation state with an O(n) reset.
 
-    Owns every quantity one episode changes — including the activation
-    ``state`` fields of the kernel's workflow copy and the runtime state
-    of the fleet's :class:`~repro.sim.vm.Vm` objects.  All transitions
-    go through the methods here so the incremental trackers (sorted
-    ready ids, terminal-predicate counters, cached context views) can
-    never drift from the underlying objects.
+    The one-job case: the kernel's workflow copy as a :class:`DagState`
+    on the kernel's fleet as a :class:`FleetState`, plus the migration
+    and revocation streams and the (ready, idle) action-pair interner.
     """
 
     def __init__(self, kernel: "EpisodeKernel") -> None:
@@ -150,34 +528,20 @@ class EpisodeState:
                 "to multiplex jobs over one fleet)"
             )
         self._kernel = kernel
-        self.now = 0.0
-        self.queue = EventQueue()
-        self.records: List[ActivationRecord] = []
-        self.ready_time: Dict[int, float] = {}
-        self.attempts: Dict[int, int] = {}
-        self.busy_time: Dict[int, float] = {}
-        self.file_locations: Dict[str, int] = {}
-        self.in_flight: Dict[int, PendingExecution] = {}
-        self.dispatch_scheduled = False
-        # incremental trackers
-        self._ready_ids: List[int] = []
-        self._unfinished_parents: Dict[int, int] = {}
-        self._n_finished = 0
-        self._n_failed = 0
-        self._n_running = 0
-        # cached scheduler-facing views (satellite: no per-access rebuilds)
-        self._ready_cache: Optional[Tuple[Activation, ...]] = None
-        self._records_cache: Optional[Tuple[ActivationRecord, ...]] = None
-        self._vm_version = 0
-        self._idle_key: Optional[Tuple[float, int]] = None
-        self._idle_cache: Tuple[Vm, ...] = ()
-        # monotonic generation counters for the ready/idle *contents*.
-        # They only ever increase (never reset — schedulers cache across
-        # episodes keyed on them), and _idle_version bumps only when the
-        # rebuilt idle tuple actually differs, so a pure time step does
-        # not invalidate downstream (ready, idle) cross-product caches.
-        self._ready_version = 0
-        self._idle_version = 0
+        DagState.__init__(
+            self,
+            f"workflow {kernel.workflow.name!r}",
+            kernel._ac_by_id,
+            kernel._children,
+            kernel.initial_pred_count,
+        )
+        FleetState.__init__(
+            self,
+            kernel.vms,
+            kernel.fluctuation,
+            kernel.failures,
+            kernel.max_attempts,
+        )
         self._pairs_key: Optional[Tuple[int, int]] = None
         self._pairs_cache: Tuple[Tuple[int, int], ...] = ()
         # content-addressed pairs interner: (ready ids, idle ids) ->
@@ -191,8 +555,6 @@ class EpisodeState:
             Tuple[Tuple[int, int], ...],
         ] = {}
         # RNG streams, re-derived from the per-episode seed in reset()
-        self.rng_fluct: np.random.Generator
-        self.rng_fail: np.random.Generator
         self.rng_migr: np.random.Generator
         self.rng_revoke: np.random.Generator
         self.reset(0)
@@ -209,31 +571,8 @@ class EpisodeState:
         """
         for ac in self._kernel.activations:
             ac.reset()
-        for vm in self._kernel.vms:
-            vm.reset()
-        self._vm_version += 1
-        self.now = 0.0
-        self.queue = EventQueue()
-        self.records = []
-        self.ready_time = {}
-        self.attempts = {}
-        self.busy_time = {vm.id: 0.0 for vm in self._kernel.vms}
-        self.file_locations = {}
-        self.in_flight = {}
-        self.dispatch_scheduled = False
-        self._ready_ids = []
-        self._unfinished_parents = dict(self._kernel.initial_pred_count)
-        self._n_finished = 0
-        self._n_failed = 0
-        self._n_running = 0
-        self._ready_cache = None
-        self._records_cache = None
-        self._idle_key = None
-        self._idle_cache = ()
-        # bump, never zero: version numbers must stay unique across
-        # episodes so cross-episode consumers can never see a stale hit
-        self._ready_version += 1
-        self._idle_version += 1
+        self.clear_dag()
+        self.clear_fleet()
         self._pairs_key = None
         self._pairs_cache = ()
 
@@ -247,10 +586,7 @@ class EpisodeState:
         """
         kernel = self._kernel
         self.scrub()
-        for i in kernel.entry_ids:
-            kernel.activation(i).transition(ActivationState.READY)
-            self._ready_ids.append(i)  # entry_ids are pre-sorted
-            self.ready_time[i] = 0.0
+        self.release_entries(kernel.entry_ids, 0.0)
 
         rng = RngService(seed)
         self.rng_fluct = rng.stream("fluctuation")
@@ -258,11 +594,7 @@ class EpisodeState:
         self.rng_migr = rng.stream("migrations")
         self.rng_revoke = rng.stream("revocations")
 
-        for vm in kernel.vms:
-            boot = vm.type.boot_time
-            vm.available_at = boot
-            if boot > 0:
-                self.queue.schedule(boot, EventType.VM_READY, vm.id)
+        self.boot()
 
         for window in kernel.migrations.windows(
             kernel.vms, kernel.horizon, self.rng_migr
@@ -298,88 +630,10 @@ class EpisodeState:
         ac_by_id = kernel._ac_by_id
         for i in kernel.entry_ids:
             ac_by_id[i].state = ActivationState.READY
-            self._ready_ids.append(i)  # entry_ids are pre-sorted
+            self.ready_ids.append(i)  # entry_ids are pre-sorted
             self.ready_time[i] = 0.0
 
-    # -- the paper's workflow-state predicate, O(1) ----------------------
-
-    def workflow_state(self) -> str:
-        """The paper's 4-valued workflow state, from maintained counters.
-
-        Agrees with :meth:`repro.dag.graph.Workflow.workflow_state`'s
-        O(n) scan at every point of an episode (the activation ``state``
-        fields are kept in sync by the transition methods below).
-        """
-        n_total = self._kernel.n_activations
-        if self._n_finished == n_total:
-            return "successfully finished"
-        n_ready = len(self._ready_ids)
-        n_locked = (
-            n_total - self._n_finished - self._n_failed
-            - self._n_running - n_ready
-        )
-        if self._n_failed and not (n_ready or n_locked or self._n_running):
-            return "finished with failure"
-        if n_ready:
-            return "available"
-        return "unavailable"
-
-    # -- cached context views --------------------------------------------
-
-    def ready_view(self) -> Tuple[Activation, ...]:
-        """READY activations ordered by id; cached until the set changes."""
-        if self._ready_cache is None:
-            kernel = self._kernel
-            self._ready_cache = tuple(
-                kernel.activation(i) for i in self._ready_ids
-            )
-        return self._ready_cache
-
-    def idle_view(self) -> Tuple[Vm, ...]:
-        """Idle VMs; cached per (time, fleet-mutation) generation."""
-        key = (self.now, self._vm_version)
-        if key != self._idle_key:
-            self._idle_key = key
-            now = self.now
-            rebuilt = tuple(
-                vm for vm in self._kernel.vms if vm.is_idle(now)
-            )
-            # content-compare before bumping: most time steps leave the
-            # idle set unchanged, and an unchanged set must not
-            # invalidate (ready, idle)-keyed caches downstream
-            if rebuilt != self._idle_cache:
-                self._idle_cache = rebuilt
-                self._idle_version += 1
-        return self._idle_cache
-
-    def records_view(self) -> Tuple[ActivationRecord, ...]:
-        """Completed records; cached until the next completion."""
-        if self._records_cache is None:
-            self._records_cache = tuple(self.records)
-        return self._records_cache
-
-    def has_ready(self) -> bool:
-        return bool(self._ready_ids)
-
-    @property
-    def ready_version(self) -> int:
-        """Monotonic generation counter of the READY set's contents."""
-        return self._ready_version
-
-    @property
-    def idle_version(self) -> int:
-        """Monotonic generation counter of the idle set's contents.
-
-        Refreshes the idle view first: idleness depends on simulated
-        time, so the counter is only meaningful for the current ``now``.
-        """
-        self.idle_view()
-        return self._idle_version
-
-    @property
-    def n_finished(self) -> int:
-        """Activations finished successfully so far (O(1))."""
-        return self._n_finished
+    # -- the scheduler-object path's action pairs ------------------------
 
     def action_pairs(self) -> Tuple[Tuple[int, int], ...]:
         """The (activation_id, vm_id) ready x idle cross product.
@@ -395,7 +649,7 @@ class EpisodeState:
         if key != self._pairs_key:
             self._pairs_key = key
             content = (
-                tuple(self._ready_ids),
+                tuple(self.ready_ids),
                 tuple(vm.id for vm in idle),
             )
             pairs = self._pairs_interned.get(content)
@@ -408,90 +662,6 @@ class EpisodeState:
                 self._pairs_interned[content] = pairs
             self._pairs_cache = pairs
         return self._pairs_cache
-
-    # -- activation transitions ------------------------------------------
-
-    def make_ready(self, activation: Activation, was_running: bool) -> None:
-        """RUNNING -> READY (retry / revocation); keeps its ready_time."""
-        activation.transition(ActivationState.READY)
-        insort(self._ready_ids, activation.id)
-        if was_running:
-            self._n_running -= 1
-        self._ready_cache = None
-        self._ready_version += 1
-
-    def start_running(self, activation: Activation, vm: Vm) -> None:
-        """READY -> RUNNING and occupy a slot on ``vm``."""
-        activation.transition(ActivationState.RUNNING)
-        idx = bisect_left(self._ready_ids, activation.id)
-        del self._ready_ids[idx]
-        self._n_running += 1
-        self._ready_cache = None
-        self._ready_version += 1
-        vm.start(activation.id)
-        self._vm_version += 1
-
-    def finish_success(self, activation: Activation) -> List[int]:
-        """RUNNING -> FINISHED; release now-unblocked children.
-
-        Returns the newly READY child ids (sorted), mirroring
-        :meth:`repro.dag.graph.Workflow.release_children` — but in
-        O(out-degree) via the per-episode unfinished-parent countdown
-        instead of re-checking every parent.
-        """
-        activation.transition(ActivationState.FINISHED)
-        self._n_running -= 1
-        self._n_finished += 1
-        kernel = self._kernel
-        released: List[int] = []
-        for child_id in kernel.children(activation.id):
-            remaining = self._unfinished_parents[child_id] - 1
-            self._unfinished_parents[child_id] = remaining
-            child = kernel.activation(child_id)
-            if remaining == 0 and child.state is ActivationState.LOCKED:
-                child.transition(ActivationState.READY)
-                insort(self._ready_ids, child_id)
-                released.append(child_id)
-        if released:
-            self._ready_cache = None
-            self._ready_version += 1
-            now = self.now
-            for child_id in released:
-                self.ready_time[child_id] = now
-        return released
-
-    def finish_failure(self, activation: Activation) -> None:
-        """RUNNING -> FAILED, cascading to LOCKED descendants.
-
-        Descendants of a failed activation can never run; marking them
-        FAILED keeps the paper's terminal predicate reachable.
-        """
-        activation.transition(ActivationState.FAILED)
-        self._n_running -= 1
-        self._n_failed += 1
-        kernel = self._kernel
-        stack = list(kernel.children(activation.id))
-        while stack:
-            node = stack.pop()
-            ac = kernel.activation(node)
-            if ac.state is ActivationState.LOCKED:
-                ac.transition(ActivationState.FAILED)
-                self._n_failed += 1
-                stack.extend(kernel.children(node))
-
-    def add_record(self, record: ActivationRecord) -> None:
-        self.records.append(record)
-        self._records_cache = None
-
-    # -- VM mutations ----------------------------------------------------
-
-    def vm_release(self, vm: Vm, activation_id: int) -> None:
-        vm.finish(activation_id)
-        self._vm_version += 1
-
-    def vm_touch(self) -> None:
-        """Invalidate the idle cache after a direct VM field mutation."""
-        self._vm_version += 1
 
 
 class SimulationContext:
@@ -621,13 +791,6 @@ class EpisodeKernel:
         max_attempts: int = 1,
         horizon: float = 1e6,
     ) -> None:
-        if not vms:
-            raise ValidationError("fleet must contain at least one VM")
-        ids = [vm.id for vm in vms]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("VM ids must be unique")
-        if max_attempts < 1:
-            raise ValidationError("max_attempts must be >= 1")
         self.workflow = workflow.copy()
         self.vms: List[Vm] = list(vms)
         self.vm_by_id: Dict[int, Vm] = {vm.id: vm for vm in self.vms}
@@ -714,13 +877,7 @@ class EpisodeKernel:
 
     def activation(self, activation_id: int) -> Activation:
         """The kernel's activation with the given id."""
-        try:
-            return self._ac_by_id[activation_id]
-        except KeyError:
-            raise ValidationError(
-                f"unknown activation {activation_id} in workflow "
-                f"{self.workflow.name!r}"
-            ) from None
+        return self._state.activation(activation_id)
 
     def children(self, activation_id: int) -> Tuple[int, ...]:
         """Direct successor ids, sorted (precomputed)."""
@@ -757,6 +914,10 @@ class EpisodeKernel:
         if self._shared_staging:
             return self.estimates.stage_in_time(activation, vm, file_locations)
         return self.network.stage_in_time(activation, vm, file_locations)
+
+    def compute_time(self, activation: Activation, vm: Vm) -> float:
+        """Nominal compute seconds (no fluctuation), from the shared cache."""
+        return self.estimates.compute_time(activation, vm)
 
     def stage_out_time(self, activation: Activation, vm: Vm) -> float:
         """Publishing seconds under the kernel's network model."""
@@ -816,17 +977,14 @@ class EpisodeKernel:
         state = self._state
         ctx = self._ctx
         self._call_hook(scheduler, "on_simulation_start", ctx)
-        self._schedule_dispatch()
+        state.schedule_dispatch()
 
-        while True:
-            wf_state = state.workflow_state()
-            if wf_state in _TERMINAL_STATES:
-                break
+        while not state.done:
             event = state.queue.pop()
             if event is None:
                 raise SimulationError(
                     f"simulation deadlocked at t={state.now:.3f}: workflow "
-                    f"state {wf_state!r} with no pending events"
+                    f"state {state.workflow_state()!r} with no pending events"
                 )
             if event.time < state.now - 1e-9:
                 raise SimulationError("event time regressed (internal bug)")
@@ -860,7 +1018,7 @@ class EpisodeKernel:
             state.dispatch_scheduled = False
             self._dispatch_loop(scheduler)
         elif event.type is EventType.VM_READY:
-            self._schedule_dispatch()
+            state.schedule_dispatch()
         elif event.type is EventType.MIGRATION_START:
             self._begin_migration(event.payload)
         elif event.type is EventType.REVOCATION:
@@ -869,15 +1027,9 @@ class EpisodeKernel:
             vm = self.vm_by_id[event.payload]
             vm.migrating = False
             state.vm_touch()
-            self._schedule_dispatch()
+            state.schedule_dispatch()
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unhandled event type {event.type!r}")
-
-    def _schedule_dispatch(self) -> None:
-        state = self._state
-        if not state.dispatch_scheduled:
-            state.dispatch_scheduled = True
-            state.queue.schedule(state.now, EventType.DISPATCH)
 
     # -- dispatch --------------------------------------------------------
 
@@ -885,9 +1037,7 @@ class EpisodeKernel:
         """Repeatedly ask the scheduler for actions while 'available'."""
         state = self._state
         while True:
-            if not state.has_ready():
-                return
-            if not state.idle_view():
+            if not state.ready_ids or not state.idle_view():
                 return
             decision = scheduler.select(self._ctx)
             if decision is None:
@@ -901,104 +1051,23 @@ class EpisodeKernel:
         vm = self.vm_by_id.get(vm_id)
         if vm is None:
             raise ValidationError(f"scheduler chose unknown VM {vm_id}")
-        if ac.state is not ActivationState.READY:
-            raise ValidationError(
-                f"scheduler chose activation {activation_id} in state "
-                f"{ac.state.name}, expected READY"
-            )
-        if not vm.is_idle(state.now):
-            raise ValidationError(
-                f"scheduler chose VM {vm_id} which is not idle at "
-                f"t={state.now:.3f}"
-            )
-
-        attempt = state.attempts.get(activation_id, 0)
-        stage_in = self.stage_in_time(ac, vm, state.file_locations)
-        factor = self.fluctuation.factor(
-            vm, state.now, state.busy_time[vm.id], state.rng_fluct
-        )
-        compute = self.estimates.compute_time(ac, vm) * factor
-        stage_out = self.stage_out_time(ac, vm)
-
-        fails = self.failures.attempt_fails(ac, vm, attempt, state.rng_fail)
-        if fails:
-            duration = stage_in + compute * self.failures.failure_runtime_fraction
-            outcome = "retry" if attempt + 1 < self.max_attempts else "failure"
-        else:
-            duration = stage_in + compute + stage_out
-            outcome = "success"
-
-        state.start_running(ac, vm)
-        pending = PendingExecution(
-            activation_id=activation_id,
-            vm_id=vm_id,
-            ready_time=state.ready_time[activation_id],
-            dispatch_time=state.now,
-            stage_in=stage_in,
-            exec_duration=duration,
-            planned_finish=state.now + duration,
-            attempt=attempt,
-            outcome=outcome,
-        )
-        pending.event = state.queue.schedule(
-            pending.planned_finish, EventType.ACTIVATION_DONE, pending
-        )
-        state.in_flight[activation_id] = pending
+        pending = state.start_attempt(state, ac, vm, activation_id, self)
         self._call_hook(scheduler, "on_dispatched", self._ctx, pending)
 
     # -- completion ------------------------------------------------------
 
     def _complete(self, scheduler: Any, pending: PendingExecution) -> None:
         state = self._state
-        ac = self.activation(pending.activation_id)
         vm = self.vm_by_id[pending.vm_id]
         state.vm_release(vm, pending.activation_id)
         del state.in_flight[pending.activation_id]
-        elapsed = state.now - pending.dispatch_time
-        state.busy_time[vm.id] += elapsed
-
-        if pending.outcome == "success":
-            for f in ac.outputs:
-                state.file_locations[f.name] = vm.id
-            record = ActivationRecord(
-                activation_id=ac.id,
-                activity=ac.activity,
-                vm_id=vm.id,
-                ready_time=pending.ready_time,
-                start_time=pending.dispatch_time,
-                finish_time=state.now,
-                stage_in_time=pending.stage_in,
-                attempts=pending.attempt + 1,
-                failed=False,
-            )
-            state.add_record(record)
-            state.finish_success(ac)
+        state.busy_time[vm.id] += state.now - pending.dispatch_time
+        record = state.settle(pending, state.now)
+        if record is not None:
             self._call_hook(
                 scheduler, "on_activation_finished", self._ctx, record
             )
-        elif pending.outcome == "retry":
-            state.attempts[ac.id] = pending.attempt + 1
-            # re-queued; keeps its ready_time
-            state.make_ready(ac, was_running=True)
-        else:  # terminal failure
-            record = ActivationRecord(
-                activation_id=ac.id,
-                activity=ac.activity,
-                vm_id=vm.id,
-                ready_time=pending.ready_time,
-                start_time=pending.dispatch_time,
-                finish_time=state.now,
-                stage_in_time=pending.stage_in,
-                attempts=pending.attempt + 1,
-                failed=True,
-            )
-            state.add_record(record)
-            state.finish_failure(ac)
-            self._call_hook(
-                scheduler, "on_activation_finished", self._ctx, record
-            )
-
-        self._schedule_dispatch()
+        state.schedule_dispatch()
 
     # -- revocation ------------------------------------------------------
 
@@ -1021,10 +1090,8 @@ class EpisodeKernel:
             state.busy_time[vm.id] += state.now - pending.dispatch_time
             # back to READY for rescheduling on a surviving VM; the
             # original ready_time is kept so queue time reflects the loss
-            state.make_ready(
-                self.activation(pending.activation_id), was_running=True
-            )
-        self._schedule_dispatch()
+            state.make_ready(self.activation(pending.activation_id))
+        state.schedule_dispatch()
 
     # -- migration -------------------------------------------------------
 

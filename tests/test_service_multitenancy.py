@@ -185,6 +185,22 @@ class TestSlotTokens:
         for vm in fleet:
             assert not vm.running, f"VM {vm.id} left with occupied slots"
 
+    @pytest.mark.parametrize("second_arrival", [1.0, 1e5])
+    def test_duplicate_job_ids_are_rejected_up_front(
+        self, second_arrival: float
+    ) -> None:
+        """Job ids key the admitted jobs and the slot tokens.  Two jobs
+        sharing one, whether their runs overlap (t=1) or not (t=1e5),
+        must be refused before any event is scheduled."""
+        timeline = FleetTimeline(fleet_for(16), seed=3)
+        jobs = [
+            _job(0, "tenant-0", seed=1, arrival=0.0),
+            _job(0, "tenant-1", seed=2, arrival=second_arrival),
+        ]
+        with pytest.raises(ValidationError, match="duplicate job id 0"):
+            timeline.run(jobs, FifoPolicy())
+        assert len(timeline.queue) == 0
+
     def test_timeline_is_single_use(self) -> None:
         fleet = fleet_for(16)
         timeline = FleetTimeline(fleet, seed=3)
@@ -219,7 +235,9 @@ class TestActionPairsInterner:
         before = state.action_pairs()
         ac = state.ready_view()[0]
         vm = state.idle_view()[0]
-        state.start_running(ac, vm)
+        state.start_running(ac)
+        vm.start(ac.id)
+        state.vm_touch()
         after = state.action_pairs()
         assert after != before
         assert all(pair[0] != ac.id for pair in after)

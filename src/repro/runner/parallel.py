@@ -17,9 +17,11 @@ pool while keeping the results **bit-identical** to a serial execution:
   (:meth:`ParallelRunner.imap`).
 - **Failure and timing capture.**  Worker exceptions never kill the
   campaign: each :class:`TaskResult` records the traceback and the
-  task's wall-clock duration; ``run(raise_on_error=True)`` (the
-  default) re-raises a :class:`RunnerError` summarizing all failures
-  after the whole batch has been collected.
+  task's wall-clock duration, and a worker process that dies fails
+  every task whose result had not come back yet.
+  ``run(raise_on_error=True)`` (the default) re-raises a
+  :class:`RunnerError` summarizing all failures after the whole batch
+  has been collected.
 - **Serial fallback.**  ``workers=1`` executes everything in-process
   through the *same* task-invocation code path — the debugging mode,
   and the reference the determinism tests compare against.
@@ -35,7 +37,8 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -73,6 +76,10 @@ TaskFn = Callable[[Any, int], Any]
 
 #: ``progress(done, total, result)`` — invoked after every completion.
 ProgressFn = Callable[[int, int, "TaskResult"], None]
+
+#: ``(index, key, fn, payload, seed, kernel_fingerprint)`` — a task as
+#: shipped to a worker.
+PreparedTask = Tuple[int, Any, TaskFn, Any, int, Optional[str]]
 
 
 def canonical_key(key: Any) -> str:
@@ -317,11 +324,28 @@ def _execute_one(
     )
 
 
-def _execute_chunk(
-    chunk: List[Tuple[int, Any, TaskFn, Any, int, Optional[str]]]
-) -> List[TaskResult]:
+def _execute_chunk(chunk: List[PreparedTask]) -> List[TaskResult]:
     """Worker-side entry point: run a chunk of tasks back to back."""
     return [_execute_one(*item) for item in chunk]
+
+
+def _chunk_results(
+    future: "Future[List[TaskResult]]", chunk: List[PreparedTask]
+) -> List[TaskResult]:
+    """A finished chunk's results, or one failure per task if it died.
+
+    A worker process that dies mid-run (``os._exit``, a signal, the OOM
+    killer) breaks the pool: every chunk not yet returned then ends in
+    ``BrokenProcessPool``, with no traceback of its own.
+    """
+    try:
+        return future.result()
+    except BrokenProcessPool as exc:
+        error = f"a pool worker process died before this task returned: {exc}"
+        return [
+            TaskResult(key=key, index=index, error=error, seed=seed)
+            for index, key, _fn, _payload, seed, _fp in chunk
+        ]
 
 
 class ParallelRunner:
@@ -389,9 +413,7 @@ class ParallelRunner:
         """The seed a task with ``key`` (and no explicit seed) will get."""
         return task_seed(self.seed, self.run_id, key)
 
-    def _prepare(
-        self, tasks: Sequence[Task]
-    ) -> List[Tuple[int, Any, TaskFn, Any, int, Optional[str]]]:
+    def _prepare(self, tasks: Sequence[Task]) -> List[PreparedTask]:
         seen: Dict[str, Any] = {}
         prepared = []
         for index, t in enumerate(tasks):
@@ -485,14 +507,14 @@ class ParallelRunner:
             for i in range(0, total, self.chunk_size)
         ]
         with self._make_executor() as pool:
-            pending = {pool.submit(_execute_chunk, chunk) for chunk in chunks}
+            pending = {pool.submit(_execute_chunk, c): c for c in chunks}
             buffered: Dict[int, TaskResult] = {}
             next_index = 0
             done_count = 0
             while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
+                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
                 for future in finished:
-                    for result in future.result():
+                    for result in _chunk_results(future, pending.pop(future)):
                         done_count += 1
                         if self.progress is not None:
                             self.progress(done_count, total, result)

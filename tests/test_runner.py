@@ -1,5 +1,6 @@
 """Unit tests for the parallel experiment runner (repro.runner)."""
 
+import multiprocessing
 import os
 
 import pytest
@@ -24,6 +25,13 @@ def echo(payload, seed):
 def failing(payload, seed):
     if payload == "boom":
         raise ValueError("intentional failure")
+    return payload
+
+
+def die_on(payload, seed):
+    """Kill the worker process outright on the marked payload."""
+    if payload == "die":
+        os._exit(1)
     return payload
 
 
@@ -197,6 +205,31 @@ class TestPoolRunner:
         runner = ParallelRunner(workers=2)
         results = runner.run(tasks_of(4))
         assert any(r.worker != os.getpid() for r in results)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_killed_worker_fails_tasks_by_key(self):
+        """A worker that dies mid-run fails its tasks as TaskResults
+        naming their keys, instead of a bare BrokenProcessPool.  Which
+        other tasks finished first depends on timing, so only the killed
+        task's failure and the correctness of every result that did come
+        back are pinned."""
+        tasks = [Task(key=i, fn=die_on, payload=i) for i in range(8)]
+        tasks[2] = Task(key="killed", fn=die_on, payload="die")
+        runner = ParallelRunner(workers=2, mp_context="fork")
+        with pytest.raises(RunnerError) as info:
+            runner.run(tasks)
+        assert "killed" in {f.key for f in info.value.failures}
+
+        results = runner.run(tasks, raise_on_error=False)
+        assert [r.index for r in results] == list(range(8))
+        assert not results[2].ok
+        assert "worker process died" in results[2].error
+        for task, result in zip(tasks, results):
+            if result.ok:
+                assert result.value == task.payload
 
     def test_chunk_size_validation(self):
         with pytest.raises(ValidationError):

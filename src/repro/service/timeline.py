@@ -4,9 +4,9 @@ One :class:`FleetTimeline` owns one VM fleet, one global
 :class:`~repro.sim.events.EventQueue` and one simulated clock, and
 drives every admitted job's DAG through them concurrently.  It is the
 streaming counterpart of :meth:`repro.sim.kernel.EpisodeKernel.run_episode`
-and runs on the kernel's execution semantics, not a copy of them: the
-timeline is a :class:`~repro.sim.kernel.FleetState` (clock, queue, VM
-slots, idle cache, the attempt-planning step) and each admitted job a
+and runs on the kernel's execution semantics: the timeline is a
+:class:`~repro.sim.kernel.FleetState` (clock, queue, VM slots, idle
+cache, the attempt-planning step) and each admitted job a
 :class:`JobRun`, which is a :class:`~repro.sim.kernel.DagState`
 (activation state machine, ready set, records, the attempt-completion
 step).  What the timeline adds is *jobs arriving over time*, admission

@@ -330,7 +330,7 @@ def _execute_chunk(chunk: List[PreparedTask]) -> List[TaskResult]:
 
 
 def _chunk_results(
-    future: "Future[List[TaskResult]]", chunk: List[PreparedTask]
+    future: Future[List[TaskResult]], chunk: List[PreparedTask]
 ) -> List[TaskResult]:
     """A finished chunk's results, or one failure per task if it died.
 

@@ -33,29 +33,42 @@ integration without a throttle model, attempt lookups without failures
 
 **The Q mirror.**  :class:`_QMirror` holds the table's
 single ``"available"`` row as ``vals[activation][vm_position]`` Python
-floats, with per-entry known flags, per-entry table action ids (−1
-while not interned) and a per-row count of unknown entries.  It is
-built from the table with the lane and is written through on every
-draw and update, so it equals the table's row at the start of every
-episode.  No action tuples are built:
-the sorted ready ids ``R`` and the idle VM positions ``I`` (memoized
-per busy bitmask) stand for the ready × idle product, and index ``i``
-means ``(R[i // |I|], I[i % |I|])`` — the index of the same pair in the
-object path's ``action_pairs`` tuple, so every ε draw and tie draw is
-unchanged.  Each row's max over ``I`` is cached per activation and per
-busy mask; the only writes to a row are its own first-touch draws and
-the Eq.-3 update of a dispatched pair, and the update drops the row's
-whole cache.  This is sound because an activation's row changes only
-when that activation is dispatched, after which it is never ready
-again in the episode.  Exploitation takes ``cut = max(row maxima) −
-1e-15`` and enumerates ties in product order over just the rows whose
-max reaches ``cut``; the update's ``future`` is the largest row max
-over the post-dispatch ``R × I``, and its list of row maxima serves the
-next selection, which sees the same ``R × I``.  The miss path
-(:meth:`_QMirror.row_max`) first touches the row's unknown entries over
-``I`` in position order — interning each if new, then drawing it —
-so the draws happen in exactly the product order the object path's
-``_ensure_known`` uses.
+floats, with per-entry table action ids (−1 while not interned) and a
+per-row bitmask of the unknown entries.  It is built from the table
+with the lane and is written through on every draw and update, so it
+equals the table's row at the start of every episode.  No action tuples
+are built: the sorted ready ids ``R`` and the idle VM positions ``I``
+(memoized per busy bitmask) stand for the ready × idle product, and
+index ``i`` means ``(R[i // |I|], I[i % |I|])`` — the index of the same
+pair in the object path's ``action_pairs`` tuple, so every ε draw and
+tie draw is unchanged.
+
+**Row maxima.**  A dispatch phase keeps each ready row's max over ``I``
+in a list aligned with ``R``.  It is built in full at most once per
+phase, at the first exploitation or the first post-dispatch Eq.-3 max,
+whichever comes first; each later dispatch of the phase updates it.
+Within a phase ``R`` and ``I`` only shrink: the dispatched row leaves
+``R`` (and its Eq.-3 update, the only write to a known entry, lands on
+that row), and a VM that fills leaves ``I``, which moves only the rows
+whose max sat at that VM, so just those are recomputed.  Exploitation
+takes ``cut = max(row maxima) − 1e-15`` and enumerates ties in product
+order over just the rows whose max reaches ``cut``; the update's
+``future`` is the largest row max over the post-dispatch ``R × I``.  A
+full build sends each row with unknown entries among ``I`` through the
+first-touch path (:meth:`_QMirror.row_max`), which touches them in
+position order — interning each if new, then drawing it — so the draws
+happen in exactly the product order the object path's
+``_ensure_known`` uses.  After a full build every entry of the phase's
+``R × I`` is known, so no later step of the phase draws, just as the
+object path's ``_ensure_known`` over the smaller product draws nothing.
+
+**Policy draws.**  The ε, explore and tie indices come from a
+:class:`~repro.util.rng.BlockDraws` replica of the scheduler's PCG64
+``reassign-policy`` generator: the values numpy's scalar ``random()``
+and ``integers(n)`` return, read from prefetched blocks of raw words.
+``learn()`` syncs the generator when the run ends or an exception
+leaves it, so the generator then stands exactly where per-call numpy
+draws would have left it.
 
 **Lite mode** (``lite=True``): per-activation
 :class:`~repro.sim.metrics.ActivationRecord` construction is replaced
@@ -74,8 +87,6 @@ from bisect import insort
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.reassign import ReassignParams, ReassignScheduler
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
@@ -84,6 +95,7 @@ from repro.rl.reward import VmPerformanceTracker
 from repro.sim.fluctuation import BurstThrottleFluctuation
 from repro.sim.kernel import EpisodeKernel, SimulationError
 from repro.sim.metrics import ActivationRecord, SimulationResult
+from repro.util.rng import BlockDraws
 
 __all__ = [
     "EpisodeOutcome",
@@ -118,24 +130,26 @@ class _FastLane:
 
     The mutable counterpart of a ``ReassignScheduler`` for the fast
     path.  A lane is built over one scheduler and one lean kernel.  It
-    shares the scheduler's ``reassign-policy`` generator outright and
-    reaches its Q-table through a :class:`_QMirror` built here, which
-    writes through to the table; the §III-B reward state is copied in
-    from ``scheduler.reward`` (µ and ρ included), flattened into plain
+    draws from the scheduler's ``reassign-policy`` generator through a
+    :class:`~repro.util.rng.BlockDraws` replica, which
+    :meth:`write_back` syncs back into it, and reaches its Q-table
+    through a :class:`_QMirror` built here, which writes through to the
+    table; the §III-B reward state is copied in from
+    ``scheduler.reward`` (µ and ρ included), flattened into plain
     lists/scalars the fused loop updates in place, and
     :meth:`write_back` copies it out again, so after a fused run the
     scheduler holds exactly the state the object path leaves.
     """
 
     __slots__ = (
-        "params", "rng", "exploit_p", "keep_history",
+        "params", "draws", "exploit_p", "keep_history",
         "t", "steps", "reward_sum", "mu", "rho", "pos", "exec_n",
-        "exec_mean", "queue_n", "queue_mean", "index", "g_exec_n",
-        "g_exec_mean", "g_queue_n", "g_queue_mean", "reward", "mirror",
+        "exec_mean", "queue_mean", "index", "g_exec_n",
+        "g_exec_mean", "g_queue_mean", "reward", "mirror",
     )
 
     params: ReassignParams
-    rng: np.random.Generator
+    draws: BlockDraws
     exploit_p: float
     keep_history: bool
     t: int
@@ -146,12 +160,10 @@ class _FastLane:
     pos: Dict[int, int]
     exec_n: List[int]
     exec_mean: List[float]
-    queue_n: List[int]
     queue_mean: List[float]
     index: List[float]
     g_exec_n: int
     g_exec_mean: float
-    g_queue_n: int
     g_queue_mean: float
     reward: float
     mirror: _QMirror
@@ -161,7 +173,7 @@ class _FastLane:
     ) -> None:
         params = scheduler.params
         self.params = params
-        self.rng = scheduler._rng
+        self.draws = BlockDraws(scheduler._rng)
         p = params.epsilon
         self.exploit_p = 1.0 - p if params.epsilon_is_exploration else p
         self.keep_history = params.reward_memory == "full"
@@ -177,19 +189,20 @@ class _FastLane:
         self.pos = {vm_id: i for i, vm_id in enumerate(reward._vms)}
         self.exec_n = [t.count for t in trackers]
         self.exec_mean = [t.exec_mean for t in trackers]
-        self.queue_n = list(self.exec_n)
         self.queue_mean = [t.queue_mean for t in trackers]
         self.index = [t.mean_index for t in trackers]
-        self.g_exec_n = self.g_queue_n = reward._global.count
+        self.g_exec_n = reward._global.count
         self.g_exec_mean = reward._global.exec_mean
         self.g_queue_mean = reward._global.queue_mean
 
     def write_back(self, scheduler: ReassignScheduler) -> None:
         """Copy the episode counters and reward state into ``scheduler``.
 
-        The inverse of the reward copy in ``__init__`` (the Q-table and
-        policy generator are shared, so they need no copy).
+        The inverse of the reward copy in ``__init__``; the policy
+        generator is synced to the draws made (the Q-table is shared, so
+        it needs no copy).
         """
+        self.draws.sync()
         scheduler._t = self.t
         scheduler._steps = self.steps
         scheduler._reward_sum = self.reward_sum
@@ -216,12 +229,10 @@ class _FastLane:
             self.pos = {}
             self.exec_n = []
             self.exec_mean = []
-            self.queue_n = []
             self.queue_mean = []
             self.index = []
             self.g_exec_n = 0
             self.g_exec_mean = 0.0
-            self.g_queue_n = 0
             self.g_queue_mean = 0.0
 
 
@@ -275,15 +286,15 @@ EpisodeOutcome = Union[SimulationResult, _LiteResult]
 class _QMirror:
     """The lane's per-run mirror of the table's ``"available"`` row.
 
-    See the module docstring for the layout and the row-max cache.
+    See the module docstring for the layout and the row maxima.
     Every write goes through to the table, so ``qtable_json``,
     ``write_back``, ``extract_plan`` and later ``learn()`` calls read
     the table as if the lane had written it directly.
     """
 
     __slots__ = (
-        "table", "sid", "qrow", "krow", "vm_ids", "vals", "known", "ids",
-        "n_unknown", "rmax", "idle_pos",
+        "table", "sid", "qrow", "krow", "vm_ids", "vals", "unknown", "ids",
+        "idle_pos",
     )
 
     def __init__(self, table: QTable, kernel: EpisodeKernel) -> None:
@@ -295,21 +306,19 @@ class _QMirror:
         aget = table._action_ids.get
         self.vm_ids = [vm.id for vm in kernel.vms]
         self.vals: Dict[int, List[float]] = {}
-        self.known: Dict[int, List[bool]] = {}
+        #: activation → bitmask of the row's unknown VM positions
+        self.unknown: Dict[int, int] = {}
         self.ids: Dict[int, List[int]] = {}
-        self.n_unknown: Dict[int, int] = {}
-        #: activation → {busy mask: the row's max over that mask's I}
-        self.rmax: Dict[int, Dict[int, float]] = {}
         for a in kernel._ac_by_id:
             ids = [aget((a, v), -1) for v in self.vm_ids]
             known = [aid >= 0 and bool(krow[aid]) for aid in ids]
             self.vals[a] = [
                 float(qrow[aid]) if k else 0.0 for aid, k in zip(ids, known)
             ]
-            self.known[a] = known
+            self.unknown[a] = sum(
+                1 << j for j, k in enumerate(known) if not k
+            )
             self.ids[a] = ids
-            self.n_unknown[a] = known.count(False)
-            self.rmax[a] = {}
         #: busy mask → positions of the VMs it leaves idle (bit j set ⟺
         #: ``kernel.vms[j]`` is full)
         self.idle_pos: Dict[int, Tuple[int, ...]] = {}
@@ -341,27 +350,38 @@ class _QMirror:
                 self._fetch_rows()
         v = float(table._rng.uniform(0.0, table._init_scale))
         self.vals[a][j] = v
-        self.known[a][j] = True
-        self.n_unknown[a] -= 1
+        self.unknown[a] &= ~(1 << j)
         self.qrow[aid] = v
         self.krow[aid] = True
         table._n_known += 1
 
-    def row_max(self, a: int, mask: int, idle: Tuple[int, ...]) -> float:
-        """Row ``a``'s max over ``idle``: the row-max cache's miss path.
+    def row_max(self, a: int, idle: Tuple[int, ...]) -> float:
+        """Row ``a``'s max over ``idle``, first touching its unknown entries.
 
-        Touches the row's unknown entries over ``idle`` first, in
-        position order, then caches the max under ``mask``.
+        The first-touch path: the row's unknown entries over ``idle``
+        are touched in position order before the max is taken.
         """
-        row = self.vals[a]
-        if self.n_unknown[a]:
-            known = self.known[a]
-            for j in idle:
-                if not known[j]:
-                    self.touch(a, j)
-        best = max(map(row.__getitem__, idle))
-        self.rmax[a][mask] = best
-        return best
+        for j in idle:
+            if self.unknown[a] >> j & 1:
+                self.touch(a, j)
+        return max(map(self.vals[a].__getitem__, idle))
+
+    def row_maxes(
+        self, ready: List[int], idle: Tuple[int, ...], busy_mask: int
+    ) -> List[float]:
+        """Each ready row's max over ``idle``, in ready order.
+
+        Rows with unknown entries among ``idle`` go through
+        :meth:`row_max`, so the touches come in product order.
+        """
+        unknown = self.unknown
+        vals = self.vals
+        free = ~busy_mask
+        return [
+            self.row_max(a, idle) if unknown[a] & free
+            else max(map(vals[a].__getitem__, idle))
+            for a in ready
+        ]
 
 
 def _drive_episode(
@@ -417,18 +437,17 @@ def _drive_episode(
 
     # RL locals (one lane: its own table, policy stream, reward)
     params = lane.params
-    rng_random = lane.rng.random
-    rng_integers = lane.rng.integers
+    rng_random = lane.draws.random
+    rng_integers = lane.draws.integers
     exploit_p = lane.exploit_p
     alpha = params.alpha
     gamma = params.gamma
     discount_power = params.discount_power
     mirror = lane.mirror
     q_vals = mirror.vals
-    q_known = mirror.known
+    q_unknown = mirror.unknown
     q_ids = mirror.ids
-    rmax = mirror.rmax
-    row_max = mirror.row_max
+    row_maxes = mirror.row_maxes
     idle_at = mirror.idle_at
     vm_ids = mirror.vm_ids
     t_rl = 1
@@ -441,12 +460,10 @@ def _drive_episode(
     r_pos = lane.pos
     r_exec_n = lane.exec_n
     r_exec_mean = lane.exec_mean
-    r_queue_n = lane.queue_n
     r_queue_mean = lane.queue_mean
     r_index = lane.index
     g_exec_n = lane.g_exec_n
     g_exec_mean = lane.g_exec_mean
-    g_queue_n = lane.g_queue_n
     g_queue_mean = lane.g_queue_mean
     reward = 0.0
 
@@ -475,19 +492,16 @@ def _drive_episode(
     try:
         while n_finished < n_total:
             # -- dispatch phase at `now` ---------------------------------
-            # row maxima over the current R × I; an update leaves them
-            # for the next selection, which sees the same R and I
+            # row maxima over the current R × I, aligned with `ready_ids`;
+            # built at most once per phase, then kept up to date by each
+            # dispatch (R and I only shrink until the next completion)
             maxes: Optional[List[float]] = None
             while ready_ids and idle:
                 n_idle = len(idle)
                 # ε-greedy selection, inlined
                 if rng_random() < exploit_p:
                     if maxes is None:
-                        maxes = [
-                            m if (m := rmax[a].get(busy_mask)) is not None
-                            else row_max(a, busy_mask, idle)
-                            for a in ready_ids
-                        ]
+                        maxes = row_maxes(ready_ids, idle, busy_mask)
                         top = max(maxes)
                     cut = top - 1e-15
                     ties: List[int] = []
@@ -502,9 +516,9 @@ def _drive_episode(
                     if len(ties) == 1:
                         i = ties[0]
                     else:
-                        i = ties[int(rng_integers(len(ties)))]
+                        i = ties[rng_integers(len(ties))]
                 else:
-                    i = int(rng_integers(len(ready_ids) * n_idle))
+                    i = rng_integers(len(ready_ids) * n_idle)
                 ri, k = divmod(i, n_idle)
                 activation_id = ready_ids[ri]
                 vpos = idle[k]
@@ -538,7 +552,8 @@ def _drive_episode(
                 running = vm.running
                 running.add(activation_id)
                 vmv += 1
-                if len(running) == vcap[vpos]:
+                filled = len(running) == vcap[vpos]
+                if filled:
                     busy_mask |= 1 << vpos
                     idle = idle_at(busy_mask)
                     iv += 1
@@ -559,7 +574,6 @@ def _drive_episode(
                     r_pos[vm_id] = pos
                     r_exec_n.append(0)
                     r_exec_mean.append(0.0)
-                    r_queue_n.append(0)
                     r_queue_mean.append(0.0)
                     r_index.append(0.0)
                 n = r_exec_n[pos] + 1
@@ -567,17 +581,14 @@ def _drive_episode(
                 mean = r_exec_mean[pos]
                 mean += (te - mean) / n
                 r_exec_mean[pos] = mean
-                qn = r_queue_n[pos] + 1
-                r_queue_n[pos] = qn
                 qmean = r_queue_mean[pos]
-                qmean += (tf - qmean) / qn
+                qmean += (tf - qmean) / n
                 r_queue_mean[pos] = qmean
                 vm_index = mean * r_mu + (1.0 - r_mu) * qmean
                 r_index[pos] = vm_index
                 g_exec_n += 1
                 g_exec_mean += (te - g_exec_mean) / g_exec_n
-                g_queue_n += 1
-                g_queue_mean += (tf - g_queue_mean) / g_queue_n
+                g_queue_mean += (tf - g_queue_mean) / g_exec_n
                 global_index = (
                     g_exec_mean * r_mu + (1.0 - r_mu) * g_queue_mean
                 )
@@ -604,19 +615,24 @@ def _drive_episode(
                 reward_sum += r_t
                 # Eq.-3 max over the post-dispatch R × I
                 if ready_ids and idle:
-                    maxes = [
-                        m if (m := rmax[a].get(busy_mask)) is not None
-                        else row_max(a, busy_mask, idle)
-                        for a in ready_ids
-                    ]
+                    if maxes is None:
+                        maxes = row_maxes(ready_ids, idle, busy_mask)
+                    else:
+                        # the dispatched row leaves R; a filled VM leaves
+                        # I, which moves only the rows whose max sat there
+                        del maxes[ri]
+                        if filled:
+                            for r, a in enumerate(ready_ids):
+                                row = q_vals[a]
+                                if row[vpos] == maxes[r]:
+                                    maxes[r] = max(map(row.__getitem__, idle))
                     future = top = max(maxes)
                 else:
-                    maxes = None
                     future = 0.0
                 gamma_t = gamma ** t_rl if discount_power else gamma
                 # the explored pair's own first touch comes after the
                 # next state's (an exploited pair is already known)
-                if not q_known[activation_id][vpos]:
+                if q_unknown[activation_id] >> vpos & 1:
                     mirror.touch(activation_id, vpos)
                 row = q_vals[activation_id]
                 q_sa = row[vpos]
@@ -624,7 +640,6 @@ def _drive_episode(
                 q_new = q_sa + alpha * delta
                 row[vpos] = q_new
                 mirror.qrow[q_ids[activation_id][vpos]] = q_new
-                rmax[activation_id].clear()
                 t_rl += 1
                 steps += 1
 
@@ -705,7 +720,6 @@ def _drive_episode(
         lane.reward = reward
         lane.g_exec_n = g_exec_n
         lane.g_exec_mean = g_exec_mean
-        lane.g_queue_n = g_queue_n
         lane.g_queue_mean = g_queue_mean
         if lite:
             result: EpisodeOutcome = _LiteResult(

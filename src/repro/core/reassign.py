@@ -576,34 +576,41 @@ class ReassignLearner:
         started = self._clock()
         lane = _FastLane(sched, kernel) if fused else None
         result: EpisodeOutcome
-        for episode_idx in range(n):
-            if lane is None:
-                result = kernel.run_episode(
-                    sched, rng.spawn_seed(f"episode:{episode_idx}")
+        try:
+            for episode_idx in range(n):
+                if lane is None:
+                    result = kernel.run_episode(
+                        sched, rng.spawn_seed(f"episode:{episode_idx}")
+                    )
+                    steps = sched.episode_steps
+                    mean_reward = sched.episode_mean_reward
+                    final_reward = sched.episode_final_reward
+                else:
+                    result = _drive_episode(
+                        kernel, lane, lite=episode_idx + 1 < n
+                    )
+                    steps = lane.steps
+                    mean_reward = lane.reward_sum / steps if steps else 0.0
+                    final_reward = lane.reward
+                if self._clock_advance is not None:
+                    self._clock_advance(result.makespan)
+                episodes.append(
+                    EpisodeRecord(
+                        episode=episode_idx,
+                        makespan=result.makespan,
+                        final_state=result.final_state,
+                        steps=steps,
+                        mean_reward=mean_reward,
+                        final_reward=final_reward,
+                        assignment=result.assignment,
+                    )
                 )
-                steps = sched.episode_steps
-                mean_reward = sched.episode_mean_reward
-                final_reward = sched.episode_final_reward
-            else:
-                result = _drive_episode(
-                    kernel, lane, lite=episode_idx + 1 < n
-                )
-                steps = lane.steps
-                mean_reward = lane.reward_sum / steps if steps else 0.0
-                final_reward = lane.reward
-            if self._clock_advance is not None:
-                self._clock_advance(result.makespan)
-            episodes.append(
-                EpisodeRecord(
-                    episode=episode_idx,
-                    makespan=result.makespan,
-                    final_state=result.final_state,
-                    steps=steps,
-                    mean_reward=mean_reward,
-                    final_reward=final_reward,
-                    assignment=result.assignment,
-                )
-            )
+        except BaseException:
+            # leave the policy generator where the draws made left it,
+            # not ahead by the lane's unused prefetch
+            if lane is not None:
+                lane.draws.sync()
+            raise
         if lane is not None:
             lane.write_back(sched)
         learning_time = self._clock() - started

@@ -25,7 +25,6 @@ import json
 
 import pytest
 
-from repro.core.lane import _QMirror
 from repro.core.reassign import (
     ReassignLearner,
     ReassignParams,
@@ -43,6 +42,7 @@ from repro.sim.kernel import EpisodeKernel
 from repro.sim.migration import PeriodicMigrations
 from repro.sim.network import SharedStorageNetwork, ZeroCostNetwork
 from repro.sim.vm import Vm
+from repro.util.rng import BlockDraws, RngService
 from repro.workflows.montage import montage
 
 from tests.reference_learner import reference_learn, scheduler_state
@@ -314,22 +314,36 @@ class TestFusedLearnMatchesObjectPath:
 class TestInterruptedLearn:
     """A ``KeyboardInterrupt`` mid-episode leaves a reusable kernel."""
 
-    def _interrupt_then_reuse(self, monkeypatch, make, cls, name):
-        original = getattr(cls, name)
+    def _interrupt_then_reuse(self, monkeypatch, make, cls, name, record=()):
+        """Interrupt ``learn()`` at the 40th ``cls.name`` call, then reuse.
+
+        Returns the interrupted learner and the calls of ``name`` and of
+        the ``record`` methods that ran before the interrupt, in order,
+        as ``(method name, positional args)``.
+        """
+        hooked = []
         calls = []
 
-        def interrupting(*args, **kwargs):
-            calls.append(None)
-            if len(calls) == 40:
-                raise KeyboardInterrupt
-            return original(*args, **kwargs)
+        def logged(method):
+            original = getattr(cls, method)
+
+            def wrapper(obj, *args, **kwargs):
+                if method == name:
+                    hooked.append(None)
+                    if len(hooked) == 40:
+                        raise KeyboardInterrupt
+                calls.append((method, args))
+                return original(obj, *args, **kwargs)
+
+            return wrapper
 
         interrupted = make()
         with monkeypatch.context() as patch:
-            patch.setattr(cls, name, interrupting)
+            for method in (name, *record):
+                patch.setattr(cls, method, logged(method))
             with pytest.raises(KeyboardInterrupt):
                 interrupted.learn()
-        assert len(calls) == 40
+        assert len(hooked) == 40
         kernel = interrupted.kernel
         _assert_pristine(kernel)
 
@@ -340,10 +354,23 @@ class TestInterruptedLearn:
         assert scheduler_state(reused.scheduler) == scheduler_state(
             fresh.scheduler
         )
+        return interrupted, calls
 
     def test_inside_the_lane_body(self, monkeypatch):
+        # the lane's policy replica draws one random() per decision
         make = _regime_learner("burst-throttle", episodes=3)
-        self._interrupt_then_reuse(monkeypatch, make, _QMirror, "row_max")
+        interrupted, calls = self._interrupt_then_reuse(
+            monkeypatch, make, BlockDraws, "random", record=("integers",)
+        )
+        # learn() synced the policy stream on the way out: it stands
+        # exactly where numpy's own calls, replayed, leave a fresh one
+        replay = RngService(interrupted.seed).stream("reassign-policy")
+        for method, args in calls:
+            getattr(replay, method)(*args)
+        assert (
+            interrupted.scheduler._rng.bit_generator.state
+            == replay.bit_generator.state
+        )
 
     def test_inside_the_object_path(self, monkeypatch):
         make = _regime_learner("failures", episodes=3)

@@ -1,8 +1,9 @@
 """The fused lane's Q mirror against the object-path reference.
 
 On a lean kernel the fused lane reads Q-values from a per-run
-(activation × VM) mirror with cached row maxima instead of the
-Q-table's pair-tuple slices (see ``repro.core.lane``).  Every case here
+(activation × VM) mirror whose row maxima it keeps up to date within a
+dispatch phase, instead of the Q-table's pair-tuple slices (see
+``repro.core.lane``).  Every case here
 learns one run on a lean kernel through ``ReassignLearner.learn()`` and
 an identical twin through ``tests/reference_learner.reference_learn`` —
 the scheduler-object path, which shares no code with the mirror — and
@@ -13,8 +14,9 @@ match.
 
 The DAGs are layered, so many activations are ready at once and their
 rows compete in every selection; the fleets mix 1-slot micros with
-8-slot 2xlarges, so the idle set (and with it the busy mask that keys
-the row-max cache) changes at most dispatches and completions.  With
+8-slot 2xlarges, so the idle set changes at most dispatches and
+completions, and a dispatch that fills a VM makes the lane recompute
+the row maxima that sat at it.  With
 ``qtable_init_scale=0.0`` every untouched Q-value is 0.0, so the
 exploitation ties span several rows.
 """

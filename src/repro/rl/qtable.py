@@ -333,8 +333,9 @@ class QTable:
 
         The text usually comes from a provenance database, so every
         malformed part — not an object, a non-list ``entries``, an entry
-        that is not ``[state, action, value]``, a bad key, a non-finite
-        or non-numeric value or ``init_scale`` — raises
+        that is not ``[state, action, value]``, a bad key, a (state,
+        action) pair that repeats once decoded, a non-finite or
+        non-numeric value or ``init_scale`` — raises
         :class:`ValidationError` here rather than failing later.
         """
         try:
@@ -372,7 +373,13 @@ class QTable:
                 raise ValidationError(
                     f"Q-value must be a finite number, got {v!r}"
                 )
-            table.set(_decode_key(s), _decode_key(a), float(v))
+            state, action = _decode_key(s), _decode_key(a)
+            if table.peek(state, action) is not None:
+                raise ValidationError(
+                    f"duplicate QTable entry for state {state!r}, "
+                    f"action {action!r}"
+                )
+            table.set(state, action, float(v))
         return table
 
     # -- pickling ------------------------------------------------------------

@@ -105,6 +105,11 @@ class TestPersistence:
             ('{"entries": [["available", [0, 1], "1.5"]]}', "finite number"),
             ('{"entries": [[{}, [0, 1], 1.0]]}', "scalar or a list of scalars"),
             ('{"entries": [["s", [[0], 1], 1.0]]}', "scalar or a list of scalars"),
+            (
+                '{"entries": [["available", [1, 2], 1.0], '
+                '["available", [1, 2], 2.0]]}',
+                r"duplicate QTable entry for state 'available', action \(1, 2\)",
+            ),
         ],
     )
     def test_bad_input_is_a_validation_error(self, text, match):

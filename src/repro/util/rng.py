@@ -114,22 +114,20 @@ class BlockDraws:
     gen:
         The generator to draw from; its bit generator must be
         :class:`numpy.random.PCG64` (every :class:`RngService` stream is).
-    block:
-        Raw words per prefetch.
     """
 
-    __slots__ = ("_bg", "_block", "_start", "_words", "_fetched", "_has32", "_u32")
+    __slots__ = ("_bg", "_start", "_words", "_fetched", "_has32", "_u32")
 
-    def __init__(self, gen: np.random.Generator, block: int = 1024) -> None:
+    #: raw words per prefetch
+    _BLOCK = 1024
+
+    def __init__(self, gen: np.random.Generator) -> None:
         bg = gen.bit_generator
         if not isinstance(bg, np.random.PCG64):
             raise ValidationError(
                 f"BlockDraws replicates PCG64 only, got {type(bg).__name__}"
             )
-        if block < 1:
-            raise ValidationError(f"block must be >= 1, got {block}")
         self._bg = bg
-        self._block = block
         #: the generator's state when the unsynced draws began
         self._start = bg.state
         self._words: Iterator[int] = iter(())
@@ -141,7 +139,7 @@ class BlockDraws:
 
     def _refill(self) -> int:
         """Prefetch the next block; return its first word."""
-        words: List[int] = self._bg.random_raw(self._block).tolist()
+        words: List[int] = self._bg.random_raw(self._BLOCK).tolist()
         self._fetched += len(words)
         self._words = it = iter(words)
         return next(it)

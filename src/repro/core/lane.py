@@ -66,9 +66,9 @@ object path's ``_ensure_known`` over the smaller product draws nothing.
 :class:`~repro.util.rng.BlockDraws` replica of the scheduler's PCG64
 ``reassign-policy`` generator: the values numpy's scalar ``random()``
 and ``integers(n)`` return, read from prefetched blocks of raw words.
-``learn()`` syncs the generator when the run ends or an exception
-leaves it, so the generator then stands exactly where per-call numpy
-draws would have left it.
+:meth:`_FastLane.write_back`, which ``learn()`` calls however the run
+ends, syncs the generator, so it then stands exactly where per-call
+numpy draws would have left it.
 
 **Lite mode** (``lite=True``): per-activation
 :class:`~repro.sim.metrics.ActivationRecord` construction is replaced
@@ -200,7 +200,8 @@ class _FastLane:
 
         The inverse of the reward copy in ``__init__``; the policy
         generator is synced to the draws made (the Q-table is shared, so
-        it needs no copy).
+        it needs no copy).  ``learn()`` calls this however the run ends,
+        an exception included, so the sync comes first.
         """
         self.draws.sync()
         scheduler._t = self.t
@@ -570,12 +571,14 @@ def _drive_episode(
                 tf = now - a_ready_time
                 pos = r_pos.get(vm_id)
                 if pos is None:
+                    # the lists grow before ``pos`` names the new slot,
+                    # so an interrupt never leaves write_back a short list
                     pos = len(r_pos)
-                    r_pos[vm_id] = pos
                     r_exec_n.append(0)
                     r_exec_mean.append(0.0)
                     r_queue_mean.append(0.0)
                     r_index.append(0.0)
+                    r_pos[vm_id] = pos
                 n = r_exec_n[pos] + 1
                 r_exec_n[pos] = n
                 mean = r_exec_mean[pos]

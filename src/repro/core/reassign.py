@@ -605,14 +605,9 @@ class ReassignLearner:
                         assignment=result.assignment,
                     )
                 )
-        except BaseException:
-            # leave the policy generator where the draws made left it,
-            # not ahead by the lane's unused prefetch
+        finally:
             if lane is not None:
-                lane.draws.sync()
-            raise
-        if lane is not None:
-            lane.write_back(sched)
+                lane.write_back(sched)
         learning_time = self._clock() - started
         # the final episode always runs in full (never lite)
         assert isinstance(result, SimulationResult)

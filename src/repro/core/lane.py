@@ -24,12 +24,29 @@ path.  In that regime the only event type that can ever exist is
 (5) at equal times, so the generic heap interleaving collapses to "pop
 the completion cluster at time t, then run the dispatch phase inline".
 That lets the body drop the ``Event`` / ``PendingExecution`` /
-dispatch-event allocations, keep a plain tuple heap, read Q-values from
-a per-run mirror (below), and localize the state's version counters —
-while performing **exactly** the same RNG draws and float ops as the
-object path (the skipped work — in-flight bookkeeping, busy-time
-integration without a throttle model, attempt lookups without failures
-— is provably dead in the regime).
+dispatch-event allocations, keep a plain tuple heap and read Q-values
+from a per-run mirror (below) — while performing **exactly** the same
+RNG draws and float ops as the object path (the skipped work —
+in-flight bookkeeping, attempt lookups without failures — is provably
+dead in the regime).
+
+**What an episode keeps and what it publishes.**  An episode keeps only
+the state it reads: VM occupancy as slot counts per fleet position, the
+ready ids, ready times, unfinished-parent counts, file placement, busy
+time and (in full mode) the records.  It reads each dispatch's stage-in
+terms, compute and stage-out from dense rows indexed by (activation, VM
+position), filled once per kernel by the kernel's
+:class:`~repro.sim.estimates.NominalEstimateCache`, and each
+activation's output file names from a per-run row.  It writes no
+``Vm.running`` and no ``Activation.state`` while it runs, and its reset
+(:func:`_start_episode`) touches only the fields above.  The epilogue
+publishes the kernel's terminal state once: every activation FINISHED,
+the clock, the counters, the idle set (every VM), cleared view caches,
+and each version counter moved once (monotonic; nothing observes the
+state mid-episode).  So a reader of the kernel after a completed
+episode sees what the object path leaves, and an episode that raises is
+scrubbed back to pristine (``EpisodeState.scrub``), as on the object
+path.
 
 **The Q mirror.**  :class:`_QMirror` holds the table's
 single ``"available"`` row as ``vals[activation][vm_position]`` Python
@@ -85,17 +102,24 @@ from __future__ import annotations
 import math
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.core.reassign import ReassignParams, ReassignScheduler
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qtable import QTable
 from repro.rl.reward import VmPerformanceTracker
+from repro.sim.estimates import Costs
 from repro.sim.fluctuation import BurstThrottleFluctuation
-from repro.sim.kernel import EpisodeKernel, SimulationError
+from repro.sim.kernel import (
+    EpisodeKernel,
+    EpisodeState,
+    HorizonExceeded,
+    SimulationError,
+)
 from repro.sim.metrics import ActivationRecord, SimulationResult
 from repro.util.rng import BlockDraws
+from repro.util.validate import ValidationError
 
 __all__ = [
     "EpisodeOutcome",
@@ -105,10 +129,7 @@ __all__ = [
     "fast_lane_eligible",
 ]
 
-_READY = ActivationState.READY
-_RUNNING = ActivationState.RUNNING
 _FINISHED = ActivationState.FINISHED
-_LOCKED = ActivationState.LOCKED
 
 _SUCCEEDED = "successfully finished"
 
@@ -138,14 +159,17 @@ class _FastLane:
     ``scheduler.reward`` (µ and ρ included), flattened into plain
     lists/scalars the fused loop updates in place, and
     :meth:`write_back` copies it out again, so after a fused run the
-    scheduler holds exactly the state the object path leaves.
+    scheduler holds exactly the state the object path leaves.  It also
+    binds the kernel's dense rows the loop reads per dispatch and per
+    completion (``costs`` and ``outputs``).
     """
 
     __slots__ = (
         "params", "draws", "exploit_p", "keep_history",
         "t", "steps", "reward_sum", "mu", "rho", "pos", "exec_n",
         "exec_mean", "queue_mean", "index", "g_exec_n",
-        "g_exec_mean", "g_queue_mean", "reward", "mirror",
+        "g_exec_mean", "g_queue_mean", "reward", "mirror", "costs",
+        "outputs",
     )
 
     params: ReassignParams
@@ -167,6 +191,8 @@ class _FastLane:
     g_queue_mean: float
     reward: float
     mirror: _QMirror
+    costs: Mapping[int, Sequence[Costs]]
+    outputs: Dict[int, Tuple[str, ...]]
 
     def __init__(
         self, scheduler: ReassignScheduler, kernel: EpisodeKernel
@@ -181,6 +207,14 @@ class _FastLane:
         self.steps = 0
         self.reward_sum = 0.0
         self.mirror = _QMirror(scheduler.qtable, kernel)
+        # the kernel's dense rows: nominal costs per (activation, VM
+        # position), filled once per kernel by its estimate cache, and
+        # each activation's output file names
+        self.costs = kernel.estimates.rows(kernel.activations)
+        self.outputs = {
+            ac.id: tuple([f.name for f in ac.outputs])
+            for ac in kernel.activations
+        }
         reward = scheduler.reward
         trackers = list(reward._vms.values())
         self.mu = reward.mu
@@ -385,6 +419,34 @@ class _QMirror:
         ]
 
 
+def _start_episode(kernel: EpisodeKernel) -> EpisodeState:
+    """Reset exactly the kernel state a lane episode reads or publishes.
+
+    The lane reads and grows the ready ids, ready times, unfinished-parent
+    counts, file placement, busy time and records, so those start over;
+    everything else it publishes at the end (:func:`_drive_episode`'s
+    epilogue) or never touches.  Nothing is scrubbed: on a lean kernel,
+    between episodes every VM slot is already free (an episode that ends
+    early is scrubbed on its way out), no attempt ever fails, and no
+    model reads the per-episode RNG streams, so ``reset(seed)``'s other
+    work is dead here.  Refuses a non-lean kernel.
+    """
+    if not kernel.lean:
+        raise ValidationError(
+            "the fused lane requires a lean kernel "
+            "(see EpisodeKernel.lean); use EpisodeKernel.run_episode"
+        )
+    state = kernel.state
+    entry_ids = kernel.entry_ids  # pre-sorted
+    state.ready_ids = list(entry_ids)
+    state.ready_time = dict.fromkeys(entry_ids, 0.0)
+    state._unfinished_parents = dict(kernel.initial_pred_count)
+    state.file_locations = {}
+    state.busy_time = {vm.id: 0.0 for vm in kernel.vms}
+    state.records = []
+    return state
+
+
 def _drive_episode(
     kernel: EpisodeKernel,
     lane: _FastLane,
@@ -394,22 +456,22 @@ def _drive_episode(
 
     Bit-identical to ``EpisodeKernel.run_episode`` driving a
     ``ReassignScheduler`` (see the module docstring).  The kernel must
-    be lean (``EpisodeState.reset_fast`` refuses any other).  In that
+    be lean (:func:`_start_episode` refuses any other).  In that
     regime no event can ever be cancelled, no VM boots, migrates or is
     revoked, no attempt fails, and every heap entry is an
     ``ACTIVATION_DONE`` — so events are plain tuples on a local heap,
     the in-flight map is never consulted, and the per-step structure is
     "dispatch everything possible at t, then pop the next completion
-    cluster" (exactly the generic priority order).
+    cluster" (exactly the generic priority order).  The episode keeps
+    VM occupancy as local slot counts and publishes the kernel's
+    terminal state once, at the end.
 
     ``lite=True`` skips per-activation record construction (see
     :class:`_LiteResult`).
     """
-    state = kernel.state
-    state.reset_fast()
+    state = _start_episode(kernel)
     lane.start_episode()
     vms = kernel.vms
-    estimates = kernel.estimates
     fluct = kernel.fluctuation
     if type(fluct) is BurstThrottleFluctuation:
         fl_mode = 1
@@ -431,9 +493,8 @@ def _drive_episode(
     ready_time = state.ready_time
     ready_ids = state.ready_ids
     records = state.records
-    terms_memo = estimates._stage_in_terms
-    cmp_memo = estimates._compute
-    out_memo = estimates._stage_out
+    costs = lane.costs
+    outputs = lane.outputs
     assignment: Dict[int, int] = {}
 
     # RL locals (one lane: its own table, policy stream, reward)
@@ -468,19 +529,11 @@ def _drive_episode(
     g_queue_mean = lane.g_queue_mean
     reward = 0.0
 
-    # localized version counters (the in-state equivalents only matter
-    # to generic consumers; written back in the epilogue, monotonicity
-    # preserved; reset left the idle cache empty, so idle changes now)
-    rv = state._ready_version
-    iv = state._idle_version + 1
-    vmv = state._vm_version
-
-    # busy bitmask (bit j set ⟺ vms[j] full) and its idle positions
+    # occupied slots per fleet position, the busy bitmask (bit j set ⟺
+    # vms[j] full) and its idle positions; every slot starts free
     vcap = [vm.type.vcpus for vm in vms]
+    slots = [0] * len(vms)
     busy_mask = 0
-    for j, vm in enumerate(vms):
-        if len(vm.running) >= vcap[j]:
-            busy_mask |= 1 << j
     idle = idle_at(busy_mask)
 
     heap: List[Tuple[float, int, int, int, float, float, float]] = []
@@ -524,40 +577,25 @@ def _drive_episode(
                 activation_id = ready_ids[ri]
                 vpos = idle[k]
                 vm_id = vm_ids[vpos]
-                vm = vms[vpos]
-                ac = ac_by_id[activation_id]
-                action = (activation_id, vm_id)
-                terms = terms_memo.get(action)
-                if terms is None:
-                    terms = estimates.stage_in_terms(ac, vm)
+                terms, compute, stage_out = costs[activation_id][vpos]
                 stage_in = 0.0
                 for name, seconds in terms:
                     if fl_get(name) != vm_id:
                         stage_in += seconds
-                compute = cmp_memo.get(action)
-                if compute is None:
-                    compute = estimates.compute_time(ac, vm)
                 if fl_mode and (
                     vcap[vpos] <= fl_maxv
                     and busy_time[vm_id] > fl_credit
                 ):
                     compute *= fl_throttle
-                stage_out = out_memo.get(action)
-                if stage_out is None:
-                    stage_out = estimates.stage_out_time(ac, vm)
                 duration = stage_in + compute + stage_out
                 # start_running, inlined
-                ac.state = _RUNNING
                 del ready_ids[ri]
-                rv += 1
-                running = vm.running
-                running.add(activation_id)
-                vmv += 1
-                filled = len(running) == vcap[vpos]
+                n_run = slots[vpos] + 1
+                slots[vpos] = n_run
+                filled = n_run == vcap[vpos]
                 if filled:
                     busy_mask |= 1 << vpos
                     idle = idle_at(busy_mask)
-                    iv += 1
                 planned_finish = now + duration
                 a_ready_time = ready_time[activation_id]
                 cnt += 1
@@ -657,28 +695,24 @@ def _drive_episode(
                 t, _c, aid_, vpos, dtime, rtime, sin = heappop(heap)
                 now = t
                 if now > horizon:
-                    raise SimulationError(
+                    raise HorizonExceeded(
                         f"simulation exceeded horizon {horizon}"
                     )
-                ac = ac_by_id[aid_]
                 vm_id = vm_ids[vpos]
-                running = vms[vpos].running
-                running.remove(aid_)
-                vmv += 1
-                if len(running) + 1 == vcap[vpos]:
+                n_run = slots[vpos]
+                slots[vpos] = n_run - 1
+                if n_run == vcap[vpos]:
                     busy_mask &= ~(1 << vpos)
                     idle = idle_at(busy_mask)
-                    iv += 1
-                if fl_mode:
-                    busy_time[vm_id] += now - dtime
-                for f in ac.outputs:
-                    file_locations[f.name] = vm_id
+                busy_time[vm_id] += now - dtime
+                for name in outputs[aid_]:
+                    file_locations[name] = vm_id
                 if lite:
                     assignment[aid_] = vm_id
                 else:
                     records.append(ActivationRecord(
                         activation_id=aid_,
-                        activity=ac.activity,
+                        activity=ac_by_id[aid_].activity,
                         vm_id=vm_id,
                         ready_time=rtime,
                         start_time=dtime,
@@ -687,32 +721,32 @@ def _drive_episode(
                         attempts=1,
                         failed=False,
                     ))
-                ac.state = _FINISHED
                 n_finished += 1
-                released = False
+                # on a lean kernel a child is LOCKED until its last
+                # parent finishes, so a zero count always releases it
                 for child_id in children[aid_]:
                     remaining = unfinished[child_id] - 1
                     unfinished[child_id] = remaining
                     if remaining == 0:
-                        child = ac_by_id[child_id]
-                        if child.state is _LOCKED:
-                            child.state = _READY
-                            insort(ready_ids, child_id)
-                            ready_time[child_id] = now
-                            released = True
-                if released:
-                    rv += 1
+                        insort(ready_ids, child_id)
+                        ready_time[child_id] = now
                 if not heap or heap[0][0] != now:
                     break
 
-        # -- epilogue: write localized state back ------------------------
+        # -- epilogue: publish the terminal state once -------------------
+        # every activation finished and every slot is free again (the
+        # VMs' own slot sets were never touched); each version counter
+        # moves once, since no one observes the state mid-episode
+        for ac in kernel.activations:
+            ac.state = _FINISHED
         state.now = now
         state.n_finished = n_finished
         state.n_running = 0
-        state._vm_version = vmv
-        state._ready_version = rv
-        state._idle_version = iv
-        state._idle_cache = tuple([vms[j] for j in idle])
+        state._ready_version += 1
+        state._idle_version += 1
+        state._vm_version += 1
+        state._idle_key = None
+        state._idle_cache = tuple(vms)
         state._ready_cache = None
         state._records_cache = None
         state._pairs_key = None

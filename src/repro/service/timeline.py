@@ -61,6 +61,7 @@ from repro.sim.fluctuation import FluctuationModel, NoFluctuation
 from repro.sim.kernel import (
     DagState,
     FleetState,
+    HorizonExceeded,
     PendingExecution,
     SimulationError,
 )
@@ -303,7 +304,7 @@ class FleetTimeline(FleetState):
                 raise SimulationError("event time regressed (internal bug)")
             self.now = max(self.now, event.time)
             if self.now > self.horizon:
-                raise SimulationError(
+                raise HorizonExceeded(
                     f"service exceeded horizon {self.horizon} with "
                     f"{n_jobs - len(self.completed)} jobs unfinished"
                 )

@@ -45,6 +45,7 @@ from repro.sim.kernel import (
     EpisodeKernel,
     EpisodeState,
     FleetState,
+    HorizonExceeded,
     PendingExecution,
     SimulationError,
 )
@@ -93,6 +94,7 @@ __all__ = [
     "EpisodeKernel",
     "EpisodeState",
     "FleetState",
+    "HorizonExceeded",
     "PendingExecution",
     "SimulationError",
     "SimulationContext",

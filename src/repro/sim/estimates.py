@@ -18,17 +18,21 @@ accumulation the original ``total += latency + size / bw`` loop performed
 one.  The golden-trace suite (``tests/test_kernel_equivalence.py``)
 enforces this.
 
-Keys are ``(activation id, vm id)``: valid only because the cache is
-bound to one frozen workflow and one fleet at construction.  Lookups for
-foreign objects (an activation or VM that is not the bound instance with
-that id) fall back to direct evaluation, which yields the same value.
+Storage is dense: one row per activation id, one slot per fleet position,
+each slot the pair's :data:`Costs` (stage-in terms, compute, stage-out),
+evaluated together on the pair's first lookup.  Activation ids are valid
+keys only because the cache is bound to one frozen workflow and one fleet
+at construction.  Lookups for foreign VMs (a VM that is not the bound
+instance with that id) fall back to direct evaluation, which yields the
+same value.  :meth:`NominalEstimateCache.rows` fills whole rows for a
+consumer that indexes them directly (the fused lane stepper).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, cast
 
-from repro.dag.activation import Activation, File
+from repro.dag.activation import Activation
 from repro.sim.vm import Vm
 from repro.util.validate import check_non_negative
 
@@ -36,6 +40,10 @@ __all__ = ["NominalEstimateCache"]
 
 #: Per-file staging terms: (file name, transfer seconds), in input order.
 StageInTerms = Tuple[Tuple[str, float], ...]
+
+#: One (activation, vm) pair's nominal costs: stage-in terms, compute
+#: seconds and stage-out seconds.
+Costs = Tuple[StageInTerms, float, float]
 
 
 class NominalEstimateCache:
@@ -57,46 +65,65 @@ class NominalEstimateCache:
     ) -> None:
         self.latency = check_non_negative("latency", latency)
         self.upload_outputs = bool(upload_outputs)
-        self._vm_by_id: Dict[int, Vm] = {vm.id: vm for vm in vms}
-        self._compute: Dict[Tuple[int, int], float] = {}
-        self._stage_in_terms: Dict[Tuple[int, int], StageInTerms] = {}
-        self._stage_out: Dict[Tuple[int, int], float] = {}
+        self._vms = tuple(vms)
+        self._pos: Dict[int, int] = {vm.id: j for j, vm in enumerate(vms)}
+        #: activation id -> the pair's costs per fleet position (None
+        #: until first looked up)
+        self._rows: Dict[int, List[Optional[Costs]]] = {}
 
-    # -- key validity ----------------------------------------------------
+    # -- storage ---------------------------------------------------------
 
-    def _bound(self, vm: Vm) -> bool:
-        """True when ``vm`` is the fleet instance its id refers to."""
-        return self._vm_by_id.get(vm.id) is vm
+    def costs(self, activation: Activation, vm: Vm) -> Costs:
+        """The pair's (stage-in terms, compute, stage-out), memoized."""
+        j = self._pos.get(vm.id)
+        if j is None or self._vms[j] is not vm:
+            return self._evaluate(activation, vm)
+        row = self._rows.get(activation.id)
+        if row is None:
+            fresh: List[Optional[Costs]] = [None] * len(self._vms)
+            row = self._rows[activation.id] = fresh
+        costs = row[j]
+        if costs is None:
+            costs = self._evaluate(activation, vm)
+            row[j] = costs
+        return costs
+
+    def rows(
+        self, activations: Sequence[Activation]
+    ) -> Mapping[int, Sequence[Costs]]:
+        """Full rows for ``activations``: ``rows[activation id][position]``.
+
+        Fills every missing slot once; later calls only confirm the rows
+        are full.
+        """
+        for ac in activations:
+            row = self._rows.get(ac.id)
+            if row is None or None in row:
+                for vm in self._vms:
+                    self.costs(ac, vm)
+        return cast(Mapping[int, Sequence[Costs]], self._rows)
+
+    def _evaluate(self, activation: Activation, vm: Vm) -> Costs:
+        bw = vm.type.bandwidth_bytes_per_s
+        terms = tuple(
+            (f.name, self.latency + f.size_bytes / bw)
+            for f in activation.inputs
+        )
+        stage_out = 0.0
+        if self.upload_outputs:
+            for f in activation.outputs:
+                stage_out += self.latency + f.size_bytes / bw
+        return terms, vm.execution_time(activation.runtime), stage_out
 
     # -- estimates -------------------------------------------------------
 
     def compute_time(self, activation: Activation, vm: Vm) -> float:
         """Nominal compute seconds (``runtime / speed``), memoized."""
-        if not self._bound(vm):
-            return vm.execution_time(activation.runtime)
-        key = (activation.id, vm.id)
-        value = self._compute.get(key)
-        if value is None:
-            value = vm.execution_time(activation.runtime)
-            self._compute[key] = value
-        return value
+        return self.costs(activation, vm)[1]
 
     def stage_in_terms(self, activation: Activation, vm: Vm) -> StageInTerms:
         """Per-input-file transfer terms on ``vm``, in declaration order."""
-        if not self._bound(vm):
-            return self._terms(activation.inputs, vm)
-        key = (activation.id, vm.id)
-        terms = self._stage_in_terms.get(key)
-        if terms is None:
-            terms = self._terms(activation.inputs, vm)
-            self._stage_in_terms[key] = terms
-        return terms
-
-    def _terms(self, files: Sequence[File], vm: Vm) -> StageInTerms:
-        bw = vm.type.bandwidth_bytes_per_s
-        return tuple(
-            (f.name, self.latency + f.size_bytes / bw) for f in files
-        )
+        return self.costs(activation, vm)[0]
 
     def stage_in_time(
         self,
@@ -119,24 +146,4 @@ class NominalEstimateCache:
 
     def stage_out_time(self, activation: Activation, vm: Vm) -> float:
         """Publishing seconds; a pure function of (activation, vm)."""
-        if not self.upload_outputs:
-            return 0.0
-        if not self._bound(vm):
-            return self._sum_terms(activation.outputs, vm)
-        key = (activation.id, vm.id)
-        value = self._stage_out.get(key)
-        if value is None:
-            value = self._sum_terms(activation.outputs, vm)
-            self._stage_out[key] = value
-        return value
-
-    def _sum_terms(self, files: Sequence[File], vm: Vm) -> float:
-        bw = vm.type.bandwidth_bytes_per_s
-        total = 0.0
-        for f in files:
-            total += self.latency + f.size_bytes / bw
-        return total
-
-    def vm(self, vm_id: int) -> Optional[Vm]:
-        """The bound fleet VM with ``vm_id``, if any."""
-        return self._vm_by_id.get(vm_id)
+        return self.costs(activation, vm)[2]

@@ -76,6 +76,7 @@ __all__ = [
     "EpisodeKernel",
     "EpisodeState",
     "FleetState",
+    "HorizonExceeded",
     "PendingExecution",
     "SimulationContext",
     "SimulationError",
@@ -98,6 +99,14 @@ _PAIRS_INTERN_LIMIT = 65536
 
 class SimulationError(RuntimeError):
     """Raised when a simulation cannot make progress (deadlock/horizon)."""
+
+
+class HorizonExceeded(SimulationError):
+    """Raised when simulated time passes the run's hard horizon.
+
+    Unlike a deadlock, an overrun is a property of the inputs: the
+    horizon was set below what the schedule needs.
+    """
 
 
 @dataclass
@@ -608,31 +617,6 @@ class EpisodeState(DagState, FleetState):
                 revocation.time, EventType.REVOCATION, revocation.vm_id
             )
 
-    def reset_fast(self) -> None:
-        """Stream-free episode reset for lean kernels.
-
-        Bit-identical to :meth:`reset` *except* the four per-episode
-        RNG streams are not re-derived, so it is only valid when
-        ``kernel.lean`` is true — no model ever reads them (the
-        attributes keep the previous episode's generators, which a
-        lean episode never touches), and no VM boots, so no event is
-        scheduled.  Used by the fused lane stepper
-        (:mod:`repro.core.lane`), where stream construction otherwise
-        dominates the per-episode reset cost.
-        """
-        kernel = self._kernel
-        if not kernel.lean:
-            raise ValidationError(
-                "reset_fast requires a lean kernel "
-                "(see EpisodeKernel.lean); use reset(seed)"
-            )
-        self.scrub()
-        ac_by_id = kernel._ac_by_id
-        for i in kernel.entry_ids:
-            ac_by_id[i].state = ActivationState.READY
-            self.ready_ids.append(i)  # entry_ids are pre-sorted
-            self.ready_time[i] = 0.0
-
     # -- the scheduler-object path's action pairs ------------------------
 
     def action_pairs(self) -> Tuple[Tuple[int, int], ...]:
@@ -990,7 +974,7 @@ class EpisodeKernel:
                 raise SimulationError("event time regressed (internal bug)")
             state.now = max(state.now, event.time)
             if state.now > self.horizon:
-                raise SimulationError(
+                raise HorizonExceeded(
                     f"simulation exceeded horizon {self.horizon}"
                 )
             self._handle(scheduler, event)

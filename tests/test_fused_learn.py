@@ -17,7 +17,8 @@ reference (``tests/reference_learner.py``), and demands two things:
 
 A counting wrapper around ``EpisodeKernel.run_episode`` shows which
 path ran: the fused stepper never calls it.  An interrupted learn must
-leave its kernel reusable on either path.
+leave its kernel reusable on either path, and so must an episode that
+runs past the kernel's horizon.
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ import json
 
 import pytest
 
+from repro.core.lane import _drive_episode, _FastLane
 from repro.core.reassign import (
     ReassignLearner,
     ReassignParams,
@@ -38,11 +40,12 @@ from repro.rl.reward import PerformanceReward
 from repro.scicumulus.swfms import SciCumulusRL
 from repro.sim.failures import BernoulliFailures
 from repro.sim.fluctuation import GaussianFluctuation, NoFluctuation
-from repro.sim.kernel import EpisodeKernel
+from repro.sim.kernel import EpisodeKernel, HorizonExceeded
 from repro.sim.migration import PeriodicMigrations
 from repro.sim.network import SharedStorageNetwork, ZeroCostNetwork
 from repro.sim.vm import Vm
 from repro.util.rng import BlockDraws, RngService
+from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
 from tests.reference_learner import reference_learn, scheduler_state
@@ -377,3 +380,51 @@ class TestInterruptedLearn:
         self._interrupt_then_reuse(
             monkeypatch, make, ReassignScheduler, "select"
         )
+
+
+class TestHorizonExit:
+    """An episode past the kernel's horizon, on the lane and the object path."""
+
+    #: above every makespan of ``_learner(episodes=4)``'s episodes (at
+    #: most 282.6 s) and below the makespan of the explorer's episode
+    #: (343.1 s)
+    HORIZON = 300.0
+
+    def _kernel(self, learner):
+        return EpisodeKernel(
+            learner.workflow, learner.vms, horizon=self.HORIZON,
+            **learner._sim_kwargs,
+        )
+
+    def test_overrun_matches_the_object_path_and_scrubs(self):
+        # pure exploration: every decision is a uniform draw
+        explorer = _learner(episodes=1, seed=1, epsilon=1.0)
+        lane_learner, object_learner = explorer(), explorer()
+        kernel = self._kernel(lane_learner)
+        lane = _FastLane(lane_learner.scheduler, kernel)
+        with pytest.raises(HorizonExceeded) as lane_exit:
+            _drive_episode(kernel, lane, lite=False)
+        with pytest.raises(HorizonExceeded) as object_exit:
+            self._kernel(object_learner).run_episode(
+                object_learner.scheduler, 0
+            )
+        assert str(lane_exit.value) == str(object_exit.value)
+        assert str(lane_exit.value) == "simulation exceeded horizon 300.0"
+        _assert_pristine(kernel)
+
+        make = _learner(learner_kw=dict(clock=SimulatedLearningClock()))
+        reused, fresh = make(), make()
+        reused.adopt_kernel(kernel, reused.kernel_fingerprint())
+        fresh.adopt_kernel(self._kernel(fresh), fresh.kernel_fingerprint())
+        got = reused.learn()
+        assert max(e.makespan for e in got.episodes) < self.HORIZON
+        assert got.to_json() == fresh.learn().to_json()
+        assert scheduler_state(reused.scheduler) == scheduler_state(
+            fresh.scheduler
+        )
+
+    def test_lane_refuses_a_non_lean_kernel(self):
+        learner = _regime_learner("failures")()
+        kernel = learner.kernel
+        with pytest.raises(ValidationError, match="requires a lean kernel"):
+            _drive_episode(kernel, _FastLane(learner.scheduler, kernel), True)

@@ -19,17 +19,25 @@ completions, and a dispatch that fills a VM makes the lane recompute
 the row maxima that sat at it.  With
 ``qtable_init_scale=0.0`` every untouched Q-value is 0.0, so the
 exploitation ties span several rows.
+
+The lane keeps VM occupancy and activation states to itself and
+publishes the kernel's terminal state once, at the end of an episode;
+``TestPublishedKernelState`` checks that a completed ``learn()`` leaves
+its kernel exactly as the object path does.
 """
 
 import json
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.batch import BatchSpec
 from repro.core.reassign import ReassignLearner, ReassignParams
 from repro.dag.activation import Activation, File
 from repro.dag.graph import Workflow
+from repro.experiments.environments import fleet_for
+from repro.sim.fluctuation import NoFluctuation
 from repro.sim.vm import t2_fleet
 from repro.workflows.montage import montage
 
@@ -199,3 +207,60 @@ class TestMirrorMatchesObjectPath:
                 assert scheduler_state(fused.scheduler) == scheduler_state(
                     reference.scheduler
                 )
+
+
+def kernel_state(kernel):
+    """What a learning run leaves on its kernel, version counters aside."""
+    state = kernel.state
+    return {
+        "now": state.now,
+        "n_finished": state.n_finished,
+        "n_failed": state.n_failed,
+        "n_running": state.n_running,
+        "ready_ids": list(state.ready_ids),
+        "ready_time": dict(state.ready_time),
+        "file_locations": dict(state.file_locations),
+        "busy_time": dict(state.busy_time),
+        "attempts": dict(state.attempts),
+        "unfinished_parents": dict(state._unfinished_parents),
+        "activation_states": {ac.id: ac.state for ac in kernel.activations},
+        "vm_running": {vm.id: set(vm.running) for vm in kernel.vms},
+        "records": list(state.records),
+        "workflow_state": state.workflow_state(),
+    }
+
+
+def _versions(kernel):
+    state = kernel.state
+    return state._ready_version, state._idle_version, state._vm_version
+
+
+class TestPublishedKernelState:
+    """A completed lane ``learn()`` leaves the object path's kernel state.
+
+    The version counters differ between the engines (the lane moves each
+    once per episode); they only have to grow.
+    """
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _learner(montage(25, seed=1), fleet_for(16), episodes=3),
+            _learner(layered_dag(19), t2_fleet(3, 1), episodes=3,
+                     epsilon=0.5),
+            # without a throttle model the lane still integrates busy time
+            lambda: ReassignLearner(
+                layered_dag(5), t2_fleet(2, 2), ReassignParams(episodes=3),
+                seed=4, fluctuation=NoFluctuation(),
+            ),
+        ],
+        ids=["montage25-fleet16", "layered-mixed-fleet", "no-fluctuation"],
+    )
+    def test_matches_the_reference(self, make):
+        fused, reference = make(), make()
+        before = _versions(fused.kernel)
+        fused.learn()
+        reference_learn(reference)
+        assert kernel_state(fused.kernel) == kernel_state(reference.kernel)
+        after = _versions(fused.kernel)
+        assert all(a > b for a, b in zip(after, before))

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runner.parallel import RunnerError
 from repro.schedulers import SchedulingPlan
+from repro.service.timeline import FleetTimeline
+from repro.sim.kernel import SimulationError
 
 
 class TestParser:
@@ -65,6 +68,76 @@ class TestParser:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+class TestPathErrors:
+    """A path that cannot be read or written fails like a bad argument."""
+
+    @pytest.mark.parametrize(
+        "argv, option, path",
+        [
+            (["serve", "--trace", "{tmp}/missing.json"], "--trace",
+             "{tmp}/missing.json"),
+            (["serve", "--jobs", "2", "--trace-out", "{tmp}/no/t.json"],
+             "--trace-out", "{tmp}/no/t.json"),
+            (["serve", "--jobs", "2", "--metrics-out", "{tmp}"],
+             "--metrics-out", "{tmp}"),
+            (["learn", "--size", "25", "--episodes", "1",
+              "--plan-out", "{tmp}"], "--plan-out", "{tmp}"),
+            (["workflow", "--size", "25", "--dax", "{tmp}/no/wf.dax"],
+             "--dax", "{tmp}/no/wf.dax"),
+            (["workflow", "--size", "25", "--xml", "{tmp}"], "--xml",
+             "{tmp}"),
+            (["pipeline", "--size", "25", "--scheduler", "heft",
+              "--provenance", "{tmp}/no/prov.db"], "--provenance",
+             "{tmp}/no/prov.db"),
+        ],
+        ids=["trace", "trace-out", "metrics-out", "plan-out", "dax", "xml",
+             "provenance"],
+    )
+    def test_is_a_clean_error(self, argv, option, path, tmp_path, capsys):
+        def fill(text):
+            return text.format(tmp=tmp_path)
+
+        with pytest.raises(SystemExit) as exc:
+            main([fill(arg) for arg in argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert "Traceback" not in err
+        message = err.strip().splitlines()[-1]
+        assert message.startswith(f"repro: error: argument {option}: ")
+        assert repr(fill(path)) in message
+
+
+class TestHorizonOverrun:
+    """``serve`` past its ``--horizon``: one line, exit 2."""
+
+    @pytest.mark.parametrize("replicas", [[], ["--replicas", "2"]])
+    def test_is_a_one_line_error(self, replicas, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--horizon", "1", "--jobs", "3", *replicas])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(
+            "repro: error: service exceeded horizon 1.0 with 3 jobs "
+            "unfinished"
+        )
+
+    @pytest.mark.parametrize(
+        "replicas, raised",
+        [([], SimulationError), (["--replicas", "2"], RunnerError)],
+    )
+    def test_a_deadlock_keeps_its_traceback(
+        self, replicas, raised, monkeypatch
+    ):
+        def deadlock(self, *args, **kwargs):
+            raise SimulationError("service deadlocked at t=0.000")
+
+        monkeypatch.setattr(FleetTimeline, "run", deadlock)
+        with pytest.raises(raised, match="deadlocked"):
+            main(["serve", "--jobs", "2", *replicas])
 
 
 class TestWorkflowCommand:

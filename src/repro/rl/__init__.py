@@ -1,10 +1,13 @@
 """Reinforcement-learning core: the Q-table, the policy, rewards, TD rules.
 
 Implements the paper's §II machinery — tabular Q-learning (Algorithm 1)
-with the ε-greedy convention *as written in the paper* (ε is the
-probability of exploiting, not exploring) — plus the Costa-et-al.-derived
-reward function of §III-B, and the SARSA / Double Q-learning update
-rules (:mod:`repro.rl.td`) used by the ablation benchmarks.
+with an ε-greedy policy that supports both ε conventions (the policy
+class defaults to the paper's literal text, where ε is the probability
+of exploiting; :class:`~repro.core.reassign.ReassignParams` defaults to
+the textbook one, where ε explores, which is what the paper's Table III
+data supports) — plus the Costa-et-al.-derived reward function of
+§III-B, and the SARSA / Double Q-learning update rules
+(:mod:`repro.rl.td`) used by the ablation benchmarks.
 """
 
 from repro.rl.qtable import QTable

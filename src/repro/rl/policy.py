@@ -3,12 +3,13 @@
 **Important convention.** The paper states (twice — §II and §III-C) that
 "with probability ε the best action is taken ... otherwise an action is
 selected at random".  That is the *inverse* of the textbook ε-greedy
-(where ε is the exploration probability): here ε is the **exploitation
-probability**.  Its evaluation is consistent with that reading — the best
-Table III/IV results use ε = 0.1, i.e. heavy exploration across the 100
-learning episodes.  :class:`EpsilonGreedyPolicy` implements the paper's
-convention by default; pass ``epsilon_is_exploration=True`` for the
-textbook one.
+(where ε is the exploration probability): there ε is the **exploitation
+probability**.  :class:`EpsilonGreedyPolicy` defaults to that literal
+text; pass ``epsilon_is_exploration=True`` for the textbook convention.
+The paper's evaluation contradicts its text — Table III degrades
+monotonically as ε grows, which only fits ε = exploration — so
+:class:`~repro.core.reassign.ReassignParams` defaults to the textbook
+convention (``epsilon_is_exploration=True``) and passes it here.
 """
 
 from __future__ import annotations

@@ -208,7 +208,15 @@ def save_trace(jobs: Sequence[Job], path: Union[str, Path]) -> None:
 
 
 def load_trace(path: Union[str, Path]) -> TraceArrivals:
-    """Load an arrival-trace JSON file as a :class:`TraceArrivals`."""
-    return TraceArrivals(
-        schedule_from_json(Path(path).read_text(encoding="utf-8"))
-    )
+    """Load an arrival-trace JSON file as a :class:`TraceArrivals`.
+
+    A file that is not UTF-8 text raises :class:`ValidationError`, as
+    malformed JSON does (:func:`schedule_from_json`).
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"malformed arrival trace (not UTF-8 text): {exc}"
+        ) from exc
+    return TraceArrivals(schedule_from_json(text))

@@ -55,13 +55,19 @@ class TestParser:
         [
             ("{not json", "malformed arrival trace JSON"),
             ('{"jobs": [{"job_id": 0}]}', "job 0: missing field 'tenant'"),
+            # UTF-16 text with its byte-order mark: not UTF-8
+            (b"\xff\xfe" + '{"jobs": []}'.encode("utf-16-le"),
+             "malformed arrival trace (not UTF-8 text)"),
         ],
     )
     def test_malformed_trace_is_a_clean_error(
         self, trace, message, tmp_path, capsys
     ):
         path = tmp_path / "trace.json"
-        path.write_text(trace, encoding="utf-8")
+        if isinstance(trace, bytes):
+            path.write_bytes(trace)
+        else:
+            path.write_text(trace, encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main(["serve", "--trace", str(path)])
         assert exc.value.code == 2

@@ -32,6 +32,7 @@ from repro.service import (
     Job,
     TenantSpec,
     available_policies,
+    load_trace,
     make_policy,
     reference_scenario,
     schedule_from_json,
@@ -371,6 +372,13 @@ _MALFORMED_TRACES = [
 def test_malformed_trace_json_is_a_validation_error(text, message) -> None:
     with pytest.raises(ValidationError, match=message):
         schedule_from_json(text)
+
+
+def test_non_utf8_trace_file_is_a_validation_error(tmp_path) -> None:
+    path = tmp_path / "trace.json"
+    path.write_bytes(b"\xff\xfe" + '{"jobs": []}'.encode("utf-16-le"))
+    with pytest.raises(ValidationError, match=r"not UTF-8 text"):
+        load_trace(path)
 
 
 def test_trace_json_integers_stay_legal_as_times() -> None:

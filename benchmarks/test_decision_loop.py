@@ -92,14 +92,21 @@ def _params():
 
 
 class _LegacyReward(PerformanceReward):
-    """PR 3-era reward: a RunningStats round trip per index_std call."""
+    """PR 3-era reward: a RunningStats round trip on every reward step.
 
-    def index_std(self):
+    Eq. 6 with the std taken unconditionally, through a fresh
+    accumulator over the per-VM indices, where today's reward skips the
+    pass when the VM's index is not above the global index.
+    """
+
+    def partial_reward(self, vm_id):
         spread = RunningStats()
-        for tracker in self._vms.values():
-            if tracker.count:
-                spread.push(tracker.mean_index)
-        return spread.std if spread.count >= 2 else 0.0
+        for index in self._index:
+            spread.push(index)
+        std = spread.std if spread.count >= 2 else 0.0
+        if self.vm_index(vm_id) > self.global_index() + std:
+            return -1.0
+        return 1.0
 
 
 class _LegacyLoopScheduler(ReassignScheduler):

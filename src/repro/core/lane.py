@@ -48,6 +48,16 @@ episode sees what the object path leaves, and an episode that raises is
 scrubbed back to pristine (``EpisodeState.scrub``), as on the object
 path.
 
+**The reward and the counters.**  An episode runs the scheduler's own
+Algorithm-2 reset, then observes its
+:class:`~repro.rl.reward.PerformanceReward` inline: the per-VM lists
+are bound as locals and updated in place, Eq. 6 is
+:func:`~repro.rl.reward.crisp_reward`, as on the object path, and the
+fleet-wide means, ``r^t`` and the scheduler's ``_t`` / ``_steps`` /
+``_reward_sum`` are locals published from the body's ``finally``.  So
+however an episode ends, the scheduler holds what the object path
+leaves after the same decisions.
+
 **The Q mirror.**  :class:`_QMirror` holds the table's
 single ``"available"`` row as ``vals[activation][vm_position]`` Python
 floats, with per-entry table action ids (−1 while not interned) and a
@@ -99,7 +109,6 @@ there.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from heapq import heappop, heappush
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -108,7 +117,7 @@ from repro.core.reassign import ReassignParams, ReassignScheduler
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qtable import QTable
-from repro.rl.reward import VmPerformanceTracker
+from repro.rl.reward import crisp_reward
 from repro.sim.estimates import Costs
 from repro.sim.fluctuation import BurstThrottleFluctuation
 from repro.sim.kernel import (
@@ -147,49 +156,26 @@ def fast_lane_eligible(params: ReassignParams) -> bool:
 
 
 class _FastLane:
-    """Per-lane fused RL state (Q mirror, policy stream, reward state).
+    """What a fused run keeps beside its scheduler.
 
-    The mutable counterpart of a ``ReassignScheduler`` for the fast
-    path.  A lane is built over one scheduler and one lean kernel.  It
-    draws from the scheduler's ``reassign-policy`` generator through a
-    :class:`~repro.util.rng.BlockDraws` replica, which
+    A lane is built over one ``ReassignScheduler`` and one lean kernel.
+    It draws from the scheduler's ``reassign-policy`` generator through
+    a :class:`~repro.util.rng.BlockDraws` replica, which
     :meth:`write_back` syncs back into it, and reaches its Q-table
     through a :class:`_QMirror` built here, which writes through to the
-    table; the §III-B reward state is copied in from
-    ``scheduler.reward`` (µ and ρ included), flattened into plain
-    lists/scalars the fused loop updates in place, and
-    :meth:`write_back` copies it out again, so after a fused run the
-    scheduler holds exactly the state the object path leaves.  It also
-    binds the kernel's dense rows the loop reads per dispatch and per
-    completion (``costs`` and ``outputs``).
+    table.  It also binds the kernel's dense rows the loop reads per
+    dispatch and per completion (``costs`` and ``outputs``).  The
+    §III-B reward state and the episode counters are the scheduler's
+    own: :func:`_drive_episode` updates them there.
     """
 
     __slots__ = (
-        "params", "draws", "exploit_p", "keep_history",
-        "t", "steps", "reward_sum", "mu", "rho", "pos", "exec_n",
-        "exec_mean", "queue_mean", "index", "g_exec_n",
-        "g_exec_mean", "g_queue_mean", "reward", "mirror", "costs",
-        "outputs",
+        "scheduler", "draws", "exploit_p", "mirror", "costs", "outputs",
     )
 
-    params: ReassignParams
+    scheduler: ReassignScheduler
     draws: BlockDraws
     exploit_p: float
-    keep_history: bool
-    t: int
-    steps: int
-    reward_sum: float
-    mu: float
-    rho: float
-    pos: Dict[int, int]
-    exec_n: List[int]
-    exec_mean: List[float]
-    queue_mean: List[float]
-    index: List[float]
-    g_exec_n: int
-    g_exec_mean: float
-    g_queue_mean: float
-    reward: float
     mirror: _QMirror
     costs: Mapping[int, Sequence[Costs]]
     outputs: Dict[int, Tuple[str, ...]]
@@ -198,14 +184,10 @@ class _FastLane:
         self, scheduler: ReassignScheduler, kernel: EpisodeKernel
     ) -> None:
         params = scheduler.params
-        self.params = params
+        self.scheduler = scheduler
         self.draws = BlockDraws(scheduler._rng)
         p = params.epsilon
         self.exploit_p = 1.0 - p if params.epsilon_is_exploration else p
-        self.keep_history = params.reward_memory == "full"
-        self.t = 1
-        self.steps = 0
-        self.reward_sum = 0.0
         self.mirror = _QMirror(scheduler.qtable, kernel)
         # the kernel's dense rows: nominal costs per (activation, VM
         # position), filled once per kernel by its estimate cache, and
@@ -215,70 +197,16 @@ class _FastLane:
             ac.id: tuple([f.name for f in ac.outputs])
             for ac in kernel.activations
         }
-        reward = scheduler.reward
-        trackers = list(reward._vms.values())
-        self.mu = reward.mu
-        self.rho = reward.rho
-        self.reward = reward.reward
-        self.pos = {vm_id: i for i, vm_id in enumerate(reward._vms)}
-        self.exec_n = [t.count for t in trackers]
-        self.exec_mean = [t.exec_mean for t in trackers]
-        self.queue_mean = [t.queue_mean for t in trackers]
-        self.index = [t.mean_index for t in trackers]
-        self.g_exec_n = reward._global.count
-        self.g_exec_mean = reward._global.exec_mean
-        self.g_queue_mean = reward._global.queue_mean
 
-    def write_back(self, scheduler: ReassignScheduler) -> None:
-        """Copy the episode counters and reward state into ``scheduler``.
+    def write_back(self) -> None:
+        """Sync the scheduler's policy generator to the draws made.
 
-        The inverse of the reward copy in ``__init__``; the policy
-        generator is synced to the draws made (the Q-table is shared, so
-        it needs no copy).  ``learn()`` calls this however the run ends,
-        an exception included, so the sync comes first.
+        ``learn()`` calls this however the run ends, an exception
+        included.  Nothing else needs a copy: the Q mirror writes
+        through to the table, and the reward state and counters live on
+        the scheduler.
         """
         self.draws.sync()
-        scheduler._t = self.t
-        scheduler._steps = self.steps
-        scheduler._reward_sum = self.reward_sum
-        reward = scheduler.reward
-        reward._reward = self.reward
-        reward._vms = {
-            vm_id: _tracker(
-                self.mu, self.exec_n[i], self.exec_mean[i],
-                self.queue_mean[i],
-            )
-            for vm_id, i in self.pos.items()
-        }
-        reward._global = _tracker(
-            self.mu, self.g_exec_n, self.g_exec_mean, self.g_queue_mean
-        )
-
-    def start_episode(self) -> None:
-        """Algorithm 2 per-episode reset (t <- 1, r^t <- 0)."""
-        self.t = 1
-        self.steps = 0
-        self.reward_sum = 0.0
-        self.reward = 0.0
-        if not self.keep_history:
-            self.pos = {}
-            self.exec_n = []
-            self.exec_mean = []
-            self.queue_mean = []
-            self.index = []
-            self.g_exec_n = 0
-            self.g_exec_mean = 0.0
-            self.g_queue_mean = 0.0
-
-
-def _tracker(
-    mu: float, count: int, exec_mean: float, queue_mean: float
-) -> VmPerformanceTracker:
-    tracker = VmPerformanceTracker(mu)
-    tracker.count = count
-    tracker.exec_mean = exec_mean
-    tracker.queue_mean = queue_mean
-    return tracker
 
 
 class _LiteResult:
@@ -470,7 +398,8 @@ def _drive_episode(
     :class:`_LiteResult`).
     """
     state = _start_episode(kernel)
-    lane.start_episode()
+    sched = lane.scheduler
+    sched._reset_episode()
     vms = kernel.vms
     fluct = kernel.fluctuation
     if type(fluct) is BurstThrottleFluctuation:
@@ -498,7 +427,7 @@ def _drive_episode(
     assignment: Dict[int, int] = {}
 
     # RL locals (one lane: its own table, policy stream, reward)
-    params = lane.params
+    params = sched.params
     rng_random = lane.draws.random
     rng_integers = lane.draws.integers
     exploit_p = lane.exploit_p
@@ -516,17 +445,20 @@ def _drive_episode(
     steps = 0
     reward_sum = 0.0
 
-    # inlined PerformanceReward state (Welford mean pushes)
-    r_mu = lane.mu
-    r_rho = lane.rho
-    r_pos = lane.pos
-    r_exec_n = lane.exec_n
-    r_exec_mean = lane.exec_mean
-    r_queue_mean = lane.queue_mean
-    r_index = lane.index
-    g_exec_n = lane.g_exec_n
-    g_exec_mean = lane.g_exec_mean
-    g_queue_mean = lane.g_queue_mean
+    # the scheduler's PerformanceReward, observed inline (Welford mean
+    # pushes): its per-VM lists are updated in place, its scalars are
+    # published with the counters on the way out
+    model = sched.reward
+    r_mu = model.mu
+    r_rho = model.rho
+    r_pos = model._pos
+    r_exec_n = model._count
+    r_exec_mean = model._exec_mean
+    r_queue_mean = model._queue_mean
+    r_index = model._index
+    g_exec_n = model._g_count
+    g_exec_mean = model._g_exec_mean
+    g_queue_mean = model._g_queue_mean
     reward = 0.0
 
     # occupied slots per fleet position, the busy bitmask (bit j set ⟺
@@ -610,7 +542,7 @@ def _drive_episode(
                 pos = r_pos.get(vm_id)
                 if pos is None:
                     # the lists grow before ``pos`` names the new slot,
-                    # so an interrupt never leaves write_back a short list
+                    # as in PerformanceReward.observe
                     pos = len(r_pos)
                     r_exec_n.append(0)
                     r_exec_mean.append(0.0)
@@ -633,24 +565,7 @@ def _drive_episode(
                 global_index = (
                     g_exec_mean * r_mu + (1.0 - r_mu) * g_queue_mean
                 )
-                # §III-B penalty test, short-circuited: std >= 0, so a
-                # VM at or below the global index can never trip
-                # `vm_index > global_index + std` — the Welford scan
-                # over per-VM indexes only runs when it can matter
-                # (bit-identical: the scan is unchanged when taken)
-                if vm_index > global_index:
-                    sn = 0
-                    smean = 0.0
-                    sm2 = 0.0
-                    for x in r_index:
-                        sn += 1
-                        delta0 = x - smean
-                        smean += delta0 / sn
-                        sm2 += delta0 * (x - smean)
-                    std = math.sqrt(sm2 / sn) if sn >= 2 else 0.0
-                    r_i = -1.0 if vm_index > global_index + std else 1.0
-                else:
-                    r_i = 1.0
+                r_i = crisp_reward(vm_index, global_index, r_index)
                 reward = reward + r_rho * (r_i - reward)
                 r_t = reward
                 reward_sum += r_t
@@ -751,13 +666,6 @@ def _drive_episode(
         state._records_cache = None
         state._pairs_key = None
         state._pairs_cache = ()
-        lane.t = t_rl
-        lane.steps = steps
-        lane.reward_sum = reward_sum
-        lane.reward = reward
-        lane.g_exec_n = g_exec_n
-        lane.g_exec_mean = g_exec_mean
-        lane.g_queue_mean = g_queue_mean
         if lite:
             result: EpisodeOutcome = _LiteResult(
                 makespan=now,
@@ -778,5 +686,14 @@ def _drive_episode(
         completed = True
         return result
     finally:
+        # however the episode ends, the scheduler holds what the object
+        # path leaves after the same decisions
+        model._g_count = g_exec_n
+        model._g_exec_mean = g_exec_mean
+        model._g_queue_mean = g_queue_mean
+        model._reward = reward
+        sched._t = t_rl
+        sched._steps = steps
+        sched._reward_sum = reward_sum
         if not completed:
             state.scrub()

@@ -246,7 +246,15 @@ class ReassignScheduler(OnlineScheduler):
     # -- episode lifecycle ---------------------------------------------------
 
     def on_simulation_start(self, ctx: SimulationContext) -> None:
-        """Algorithm 2 per-episode reset: t <- 1, r^t <- 0, s <- available."""
+        """Algorithm 2 per-episode reset (see :meth:`_reset_episode`)."""
+        self._reset_episode()
+
+    def _reset_episode(self) -> None:
+        """Algorithm 2 per-episode reset: t <- 1, r^t <- 0, s <- available.
+
+        The object path runs it from :meth:`on_simulation_start`, the
+        fused lane (:func:`repro.core.lane._drive_episode`) directly.
+        """
         self._t = 1
         self._steps = 0
         self._reward_sum = 0.0
@@ -553,11 +561,11 @@ class ReassignLearner:
         paper's own reward, on a lean kernel
         (:attr:`~repro.sim.kernel.EpisodeKernel.lean`), drive every
         episode through :func:`repro.core.lane._drive_episode`, all but
-        the last in lite mode, over this learner's own Q-table and
-        policy stream; the reward state is written back to
-        ``self.scheduler`` at the end.  The stepper is byte-identical to
-        ``EpisodeKernel.run_episode`` driving ``self.scheduler``, which
-        every other run does.
+        the last in lite mode, over this learner's own Q-table, policy
+        stream, reward model and episode counters.  The stepper is
+        byte-identical to ``EpisodeKernel.run_episode`` driving
+        ``self.scheduler``, which every other run does, and leaves
+        ``self.scheduler`` in the same state however the run ends.
         """
         from repro.core.lane import _drive_episode, _FastLane, fast_lane_eligible
 
@@ -582,16 +590,10 @@ class ReassignLearner:
                     result = kernel.run_episode(
                         sched, rng.spawn_seed(f"episode:{episode_idx}")
                     )
-                    steps = sched.episode_steps
-                    mean_reward = sched.episode_mean_reward
-                    final_reward = sched.episode_final_reward
                 else:
                     result = _drive_episode(
                         kernel, lane, lite=episode_idx + 1 < n
                     )
-                    steps = lane.steps
-                    mean_reward = lane.reward_sum / steps if steps else 0.0
-                    final_reward = lane.reward
                 if self._clock_advance is not None:
                     self._clock_advance(result.makespan)
                 episodes.append(
@@ -599,15 +601,15 @@ class ReassignLearner:
                         episode=episode_idx,
                         makespan=result.makespan,
                         final_state=result.final_state,
-                        steps=steps,
-                        mean_reward=mean_reward,
-                        final_reward=final_reward,
+                        steps=sched.episode_steps,
+                        mean_reward=sched.episode_mean_reward,
+                        final_reward=sched.episode_final_reward,
                         assignment=result.assignment,
                     )
                 )
         finally:
             if lane is not None:
-                lane.write_back(sched)
+                lane.write_back()
         learning_time = self._clock() - started
         # the final episode always runs in full (never lite)
         assert isinstance(result, SimulationResult)

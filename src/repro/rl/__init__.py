@@ -12,7 +12,7 @@ data supports) — plus the Costa-et-al.-derived reward function of
 
 from repro.rl.qtable import QTable
 from repro.rl.policy import EpsilonGreedyPolicy
-from repro.rl.reward import PerformanceReward, VmPerformanceTracker
+from repro.rl.reward import PerformanceReward
 from repro.rl.cost_reward import CostAwarePerformanceReward
 from repro.rl.environment import WORKFLOW_STATES
 
@@ -21,6 +21,5 @@ __all__ = [
     "EpsilonGreedyPolicy",
     "PerformanceReward",
     "CostAwarePerformanceReward",
-    "VmPerformanceTracker",
     "WORKFLOW_STATES",
 ]

@@ -65,14 +65,9 @@ class CostAwarePerformanceReward(PerformanceReward):
         return te * (1.0 + self.cost_weight * price / self._price_ref)
 
     def observe(self, vm_id: int, te: float, tf: float) -> None:
-        """Record an execution with the price-inflated ``te``."""
-        super().observe(vm_id, self._inflate(vm_id, te), tf)
+        """Record an execution with the price-inflated ``te``.
 
-    def step(self, vm_id: int, te: float, tf: float) -> float:
-        """One §III-B reward step on the price-inflated observation."""
-        # PerformanceReward.step calls self.observe, which would inflate
-        # twice; replicate its body against the parent observe instead.
-        PerformanceReward.observe(self, vm_id, self._inflate(vm_id, te), tf)
-        r_i = self.partial_reward(vm_id)
-        self._reward = self._reward + self.rho * (r_i - self._reward)
-        return self._reward
+        :meth:`~repro.rl.reward.PerformanceReward.step` observes through
+        here too, so a reward step inflates ``te`` exactly once.
+        """
+        super().observe(vm_id, self._inflate(vm_id, te), tf)

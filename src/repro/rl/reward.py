@@ -19,52 +19,57 @@ the one we implement — is the dispersion of the per-VM average indices
 fewer than two VMs observed the stdv is 0 and Eq. 6 degenerates to a
 straight mean comparison.
 
-All aggregates use O(1) online accumulators (Welford) so a reward step is
-constant-time regardless of history length.
+The means are O(1) online accumulators (Welford's mean recurrence), so
+an observation costs the same regardless of history length; ``stdv`` is
+one pass over the per-VM indices, taken only when Eq. 6 can trip
+(:func:`crisp_reward`).  Both learning engines run this one reward: the
+scheduler-object path through :class:`PerformanceReward`'s methods, and
+the fused lane (:mod:`repro.core.lane`) on the same object's lists,
+which it updates in place.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.util.validate import ValidationError, check_probability
 
-__all__ = ["VmPerformanceTracker", "PerformanceReward"]
+__all__ = ["PerformanceReward", "crisp_reward"]
 
 
-class VmPerformanceTracker:
-    """Execution/queue time history of one VM, as running means.
+def _spread(indices: Sequence[float]) -> float:
+    """Population std of ``indices`` — ``stdv`` of Eq. 6.
 
-    The reward only ever reads the observation count and the two means,
-    so that is all a tracker stores (Welford's mean recurrence,
-    ``mean += (x - mean) / n``).  The fused learning lane
-    (:mod:`repro.core.lane`) keeps the same three numbers per VM and
-    copies them in and out of these trackers.
+    Inlined Welford recurrence (the exact float-op order of
+    :meth:`repro.util.stats.RunningStats.push`, so the result is
+    bit-identical to pushing through a fresh accumulator); the order of
+    ``indices`` is part of the result's rounding.
     """
+    n = 0
+    mean = 0.0
+    m2 = 0.0
+    for x in indices:
+        n += 1
+        delta = x - mean
+        mean += delta / n
+        m2 += delta * (x - mean)
+    return math.sqrt(m2 / n) if n >= 2 else 0.0
 
-    __slots__ = ("mu", "count", "exec_mean", "queue_mean")
 
-    def __init__(self, mu: float) -> None:
-        self.mu = check_probability("mu", mu)
-        self.count = 0
-        self.exec_mean = 0.0
-        self.queue_mean = 0.0
+def crisp_reward(
+    vm_index: float, global_index: float, indices: Sequence[float]
+) -> float:
+    """Eq. 6: ``-1.0`` if ``P̄i_j > P̄w + stdv``, else ``+1.0``.
 
-    def observe(self, te: float, tf: float) -> None:
-        """Record one activation's execution (te) and queue (tf) times."""
-        te = float(te)
-        tf = float(tf)
-        if not (te >= 0 and tf >= 0):  # also rejects NaN
-            raise ValidationError(f"times must be >= 0, got te={te}, tf={tf}")
-        self.count += 1
-        self.exec_mean += (te - self.exec_mean) / self.count
-        self.queue_mean += (tf - self.queue_mean) / self.count
-
-    @property
-    def mean_index(self) -> float:
-        """``P̄i_j`` (Eq. 4) — 0.0 when the VM has no history."""
-        return self.exec_mean * self.mu + (1.0 - self.mu) * self.queue_mean
+    ``indices`` are the per-VM ``P̄i_j`` in first-observation order.
+    ``stdv >= 0``, so a VM at or below the global index can never trip
+    the test, and the std pass over ``indices`` only runs when it can
+    matter (the result is the same either way).
+    """
+    if vm_index > global_index and vm_index > global_index + _spread(indices):
+        return -1.0
+    return 1.0
 
 
 class PerformanceReward:
@@ -74,6 +79,14 @@ class PerformanceReward:
     across episodes, so by default the performance history persists across
     :meth:`start_episode` calls and only the smoothed reward ``r^t``
     resets to 0 (Algorithm 2 line ``r^t <- 0``).
+
+    The history is flat: ``_pos`` maps each observed VM id to its
+    position, in first-observation order (``stdv``'s rounding depends
+    on that order), and the per-VM lists ``_count``, ``_exec_mean``,
+    ``_queue_mean`` and ``_index`` (``P̄i_j``) are aligned with it.  The
+    fleet-wide history (Eq. 5) is ``_g_count``, ``_g_exec_mean`` and
+    ``_g_queue_mean``.  The fused lane updates the lists in place and
+    publishes the scalars when its episode ends.
 
     Parameters
     ----------
@@ -88,9 +101,14 @@ class PerformanceReward:
     def __init__(self, mu: float = 0.5, rho: float = 0.5) -> None:
         self.mu = check_probability("mu", mu)
         self.rho = check_probability("rho", rho)
-        self._vms: Dict[int, VmPerformanceTracker] = {}
-        # the fleet-wide means (Eq. 5) accumulate exactly like one VM's
-        self._global = VmPerformanceTracker(self.mu)
+        self._pos: Dict[int, int] = {}
+        self._count: List[int] = []
+        self._exec_mean: List[float] = []
+        self._queue_mean: List[float] = []
+        self._index: List[float] = []
+        self._g_count = 0
+        self._g_exec_mean = 0.0
+        self._g_queue_mean = 0.0
         self._reward = 0.0
 
     # -- episode control ----------------------------------------------------
@@ -99,19 +117,44 @@ class PerformanceReward:
         """Begin a new episode: r^t resets; history persists by default."""
         self._reward = 0.0
         if not keep_history:
-            self._vms.clear()
-            self._global = VmPerformanceTracker(self.mu)
+            self._pos.clear()
+            self._count.clear()
+            self._exec_mean.clear()
+            self._queue_mean.clear()
+            self._index.clear()
+            self._g_count = 0
+            self._g_exec_mean = 0.0
+            self._g_queue_mean = 0.0
 
     # -- observations -------------------------------------------------------
 
     def observe(self, vm_id: int, te: float, tf: float) -> None:
         """Record one execution without computing a reward (replay/bootstrap)."""
-        tracker = self._vms.get(vm_id)
-        if tracker is None:
-            tracker = VmPerformanceTracker(self.mu)
-        tracker.observe(te, tf)  # validates before anything is stored
-        self._vms.setdefault(vm_id, tracker)
-        self._global.observe(te, tf)
+        te = float(te)
+        tf = float(tf)
+        if not (te >= 0 and tf >= 0):  # also rejects NaN
+            raise ValidationError(f"times must be >= 0, got te={te}, tf={tf}")
+        mu = self.mu
+        pos = self._pos.get(vm_id)
+        if pos is None:
+            pos = len(self._pos)
+            self._count.append(0)
+            self._exec_mean.append(0.0)
+            self._queue_mean.append(0.0)
+            self._index.append(0.0)
+            self._pos[vm_id] = pos
+        n = self._count[pos] + 1
+        self._count[pos] = n
+        mean = self._exec_mean[pos]
+        mean += (te - mean) / n
+        self._exec_mean[pos] = mean
+        qmean = self._queue_mean[pos]
+        qmean += (tf - qmean) / n
+        self._queue_mean[pos] = qmean
+        self._index[pos] = mean * mu + (1.0 - mu) * qmean
+        self._g_count += 1
+        self._g_exec_mean += (te - self._g_exec_mean) / self._g_count
+        self._g_queue_mean += (tf - self._g_queue_mean) / self._g_count
 
     # -- the paper's quantities ----------------------------------------------
 
@@ -121,39 +164,23 @@ class PerformanceReward:
 
     def vm_index(self, vm_id: int) -> float:
         """``P̄i_j`` of one VM (Eq. 4); 0.0 for an unobserved VM."""
-        tracker = self._vms.get(vm_id)
-        return tracker.mean_index if tracker is not None else 0.0
+        pos = self._pos.get(vm_id)
+        return self._index[pos] if pos is not None else 0.0
 
     def global_index(self) -> float:
         """``P̄w`` over all activations (Eq. 5)."""
-        return self._global.mean_index
+        mu = self.mu
+        return self._g_exec_mean * mu + (1.0 - mu) * self._g_queue_mean
 
     def index_std(self) -> float:
-        """``stdv`` — dispersion of per-VM average indices across VMs.
-
-        Inlined Welford recurrence (the exact float-op order of
-        :meth:`repro.util.stats.RunningStats.push`, so the result is
-        bit-identical to pushing through a fresh accumulator): this runs
-        once per reward step, i.e. once per dispatched activation, and
-        is the hottest pure-Python loop in the learning path.  Every
-        stored tracker has at least one observation.
-        """
-        n = 0
-        mean = 0.0
-        m2 = 0.0
-        for tracker in self._vms.values():
-            x = tracker.mean_index
-            n += 1
-            delta = x - mean
-            mean += delta / n
-            m2 += delta * (x - mean)
-        return math.sqrt(m2 / n) if n >= 2 else 0.0
+        """``stdv`` — dispersion of per-VM average indices across VMs."""
+        return _spread(self._index)
 
     def partial_reward(self, vm_id: int) -> float:
         """Crisp ``r_i`` (Eq. 6) for the VM's current history."""
-        if self.vm_index(vm_id) > self.global_index() + self.index_std():
-            return -1.0
-        return 1.0
+        return crisp_reward(
+            self.vm_index(vm_id), self.global_index(), self._index
+        )
 
     # -- the reward step -----------------------------------------------------
 
@@ -178,12 +205,13 @@ class PerformanceReward:
 
     def vm_ids(self) -> List[int]:
         """VMs with at least one observation."""
-        return sorted(self._vms)
+        return sorted(self._pos)
 
     def snapshot(self) -> List[Tuple[int, int, float]]:
         """(vm_id, n_observations, P̄i_j) per VM — for provenance dumps."""
+        pos = self._pos
         return [
-            (vm_id, self._vms[vm_id].count, self._vms[vm_id].mean_index)
+            (vm_id, self._count[pos[vm_id]], self._index[pos[vm_id]])
             for vm_id in self.vm_ids()
         ]
 

@@ -13,11 +13,13 @@ other rather than the stepper against itself.
 ``scheduler_state(scheduler)`` is everything a learning run leaves on
 its scheduler that later calls read: the Q-table, the reward model's
 history and smoothed reward, the policy generator and the episode
-counters.  It also pins how the table got there — the lazy-init
-stream's generator state and, on a dense ``QTable``, the known-entry
-count and the order states and actions were interned in — so two
-engines that first-touch entries in a different order cannot compare
-equal by landing on the same JSON.
+counters.  The reward history is compared in full — the VM order, the
+four per-VM lists and the three fleet-wide values the lane updates in
+place — not only through the model's readers.  It also pins how the
+table got there — the lazy-init stream's generator state and, on a
+dense ``QTable``, the known-entry count and the order states and
+actions were interned in — so two engines that first-touch entries in
+a different order cannot compare equal by landing on the same JSON.
 
 ``batch_learners(specs)`` runs ``learn_batch`` and also returns the
 learners it ran, so their scheduler state can be compared too.
@@ -91,8 +93,19 @@ def scheduler_state(sched):
         "reward_snapshot": reward.snapshot(),
         "global_index": reward.global_index(),
         "index_std": reward.index_std(),
+        "reward_vm_order": list(reward._pos.items()),
+        "reward_vm_lists": [
+            list(values) for values in (
+                reward._count, reward._exec_mean, reward._queue_mean,
+                reward._index,
+            )
+        ],
+        "reward_fleet": (
+            reward._g_count, reward._g_exec_mean, reward._g_queue_mean,
+        ),
         "reward": reward.reward,
         "policy_rng": sched._rng.bit_generator.state,
+        "episode_t": sched._t,
         "episode_steps": sched.episode_steps,
         "episode_mean_reward": sched.episode_mean_reward,
     }

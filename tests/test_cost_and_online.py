@@ -31,11 +31,16 @@ class TestCostAwareReward:
         assert costed.vm_index(8) > costed.vm_index(0)
 
     def test_price_ratio_applied(self, fleet16):
-        costed = CostAwarePerformanceReward(fleet16, cost_weight=1.0)
         ratio = 0.3712 / 0.0116  # 2xlarge over micro hourly price
-        costed.observe(8, 10.0, 0.0)
-        # index = mu * te_eff = 0.5 * 10 * (1 + ratio)
-        assert costed.vm_index(8) == pytest.approx(0.5 * 10.0 * (1 + ratio))
+        # a reward step observes through the override: inflated once
+        for method in ("observe", "step"):
+            costed = CostAwarePerformanceReward(fleet16, cost_weight=1.0)
+            getattr(costed, method)(8, 10.0, 0.0)
+            # index = mu * te_eff = 0.5 * 10 * (1 + ratio)
+            assert costed.vm_index(8) == pytest.approx(
+                0.5 * 10.0 * (1 + ratio)
+            )
+            assert costed.global_index() == costed.vm_index(8)
 
     def test_unknown_vm_treated_as_reference(self, fleet16):
         costed = CostAwarePerformanceReward(fleet16, cost_weight=1.0)

@@ -18,7 +18,8 @@ reference (``tests/reference_learner.py``), and demands two things:
 A counting wrapper around ``EpisodeKernel.run_episode`` shows which
 path ran: the fused stepper never calls it.  An interrupted learn must
 leave its kernel reusable on either path, and so must an episode that
-runs past the kernel's horizon.
+runs past the kernel's horizon; a lane learn interrupted before its
+k-th decision must leave the scheduler state the object path leaves.
 """
 
 import dataclasses
@@ -314,39 +315,51 @@ class TestFusedLearnMatchesObjectPath:
         _assert_same(fused, got, reference, want)
 
 
+def _interrupt_at(monkeypatch, run, cls, name, k, record=()):
+    """Call ``run()``, raising ``KeyboardInterrupt`` at the k-th ``cls.name``.
+
+    Returns the calls of ``name`` and of the ``record`` methods that
+    ran before the interrupt, in order, as ``(method name, positional
+    args)``.
+    """
+    hooked = []
+    calls = []
+
+    def logged(method):
+        original = getattr(cls, method)
+
+        def wrapper(obj, *args, **kwargs):
+            if method == name:
+                hooked.append(None)
+                if len(hooked) == k:
+                    raise KeyboardInterrupt
+            calls.append((method, args))
+            return original(obj, *args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        for method in (name, *record):
+            patch.setattr(cls, method, logged(method))
+        with pytest.raises(KeyboardInterrupt):
+            run()
+    assert len(hooked) == k
+    return calls
+
+
 class TestInterruptedLearn:
     """A ``KeyboardInterrupt`` mid-episode leaves a reusable kernel."""
 
     def _interrupt_then_reuse(self, monkeypatch, make, cls, name, record=()):
         """Interrupt ``learn()`` at the 40th ``cls.name`` call, then reuse.
 
-        Returns the interrupted learner and the calls of ``name`` and of
-        the ``record`` methods that ran before the interrupt, in order,
-        as ``(method name, positional args)``.
+        Returns the interrupted learner and the calls made before the
+        interrupt (see :func:`_interrupt_at`).
         """
-        hooked = []
-        calls = []
-
-        def logged(method):
-            original = getattr(cls, method)
-
-            def wrapper(obj, *args, **kwargs):
-                if method == name:
-                    hooked.append(None)
-                    if len(hooked) == 40:
-                        raise KeyboardInterrupt
-                calls.append((method, args))
-                return original(obj, *args, **kwargs)
-
-            return wrapper
-
         interrupted = make()
-        with monkeypatch.context() as patch:
-            for method in (name, *record):
-                patch.setattr(cls, method, logged(method))
-            with pytest.raises(KeyboardInterrupt):
-                interrupted.learn()
-        assert len(hooked) == 40
+        calls = _interrupt_at(
+            monkeypatch, interrupted.learn, cls, name, 40, record
+        )
         kernel = interrupted.kernel
         _assert_pristine(kernel)
 
@@ -379,6 +392,26 @@ class TestInterruptedLearn:
         make = _regime_learner("failures", episodes=3)
         self._interrupt_then_reuse(
             monkeypatch, make, ReassignScheduler, "select"
+        )
+
+    # an episode makes 25 decisions: k = 10 interrupts the first, 40
+    # the second (lite) and 60 the third (recorded in full)
+    @pytest.mark.parametrize("k", [10, 40, 60])
+    def test_lane_leaves_the_object_paths_scheduler_state(
+        self, monkeypatch, k
+    ):
+        # the lane draws one random() per decision and the object path
+        # calls select() once per decision, so both stop before their
+        # k-th decision, with k - 1 rewards and Q-updates made
+        make = _learner(episodes=3)
+        lane, reference = make(), make()
+        _interrupt_at(monkeypatch, lane.learn, BlockDraws, "random", k)
+        _interrupt_at(
+            monkeypatch, lambda: reference_learn(reference),
+            ReassignScheduler, "select", k,
+        )
+        assert scheduler_state(lane.scheduler) == scheduler_state(
+            reference.scheduler
         )
 
 

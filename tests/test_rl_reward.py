@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rl import PerformanceReward, VmPerformanceTracker
+from repro.rl import PerformanceReward
+from repro.util.stats import RunningStats
 from repro.util.validate import ValidationError
 
 times = st.floats(min_value=0.0, max_value=1e4, allow_nan=False)
@@ -27,19 +28,33 @@ class TestSingleIndex:
 
 
 class TestVmTracker:
+    """The per-VM history (Eq. 4) a ``PerformanceReward`` keeps."""
+
     def test_mean_index(self):
-        t = VmPerformanceTracker(mu=0.5)
-        t.observe(10.0, 2.0)
-        t.observe(20.0, 4.0)
+        r = PerformanceReward(mu=0.5)
+        r.observe(0, 10.0, 2.0)
+        r.observe(0, 20.0, 4.0)
         # P̄i = mean(te)*mu + (1-mu)*mean(tf)
-        assert t.mean_index == pytest.approx(15.0 * 0.5 + 0.5 * 3.0)
+        assert r.vm_index(0) == pytest.approx(15.0 * 0.5 + 0.5 * 3.0)
 
     def test_empty_is_zero(self):
-        assert VmPerformanceTracker(mu=0.5).mean_index == 0.0
+        r = PerformanceReward(mu=0.5)
+        assert r.vm_index(0) == 0.0
+        r.observe(1, 10.0, 2.0)
+        assert r.vm_index(0) == 0.0
 
     def test_negative_times_rejected(self):
-        with pytest.raises(ValidationError):
-            VmPerformanceTracker(mu=0.5).observe(-1.0, 0.0)
+        r = PerformanceReward(mu=0.5)
+        r.observe(1, 10.0, 2.0)
+        before = r.snapshot(), r.global_index()
+        for te, tf in [(-1.0, 0.0), (0.0, -1.0), (float("nan"), 0.0)]:
+            with pytest.raises(ValidationError):
+                r.observe(0, te, tf)
+            with pytest.raises(ValidationError):
+                r.step(1, te, tf)
+        # nothing was stored, for a new VM or a known one
+        assert (r.snapshot(), r.global_index()) == before
+        assert r.vm_ids() == [1]
 
 
 class TestCrispReward:
@@ -82,6 +97,39 @@ class TestCrispReward:
         r = PerformanceReward()
         r.observe(0, 10.0, 1.0)
         assert r.index_std() == 0.0
+
+    def test_above_the_mean_within_one_stdv_rewarded(self):
+        r = PerformanceReward(mu=0.5)
+        for vm, te in enumerate([10.0, 20.0, 22.0]):
+            r.observe(vm, te, 0.0)
+        # indices 5, 10, 11: Pw = 8.67 and stdv = 2.62, so VM 2 sits
+        # above Pw but below Pw + stdv
+        assert r.global_index() < r.vm_index(2) < (
+            r.global_index() + r.index_std()
+        )
+        assert r.partial_reward(2) == 1.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), times, times),
+                    min_size=1, max_size=40))
+    def test_eq6_is_the_unconditional_test(self, observations):
+        """Skipping the stdv pass at or below Pw never changes r_i.
+
+        stdv is the Welford std of the per-VM indices in
+        first-observation order, as a fresh ``RunningStats`` gives it.
+        """
+        r = PerformanceReward(mu=0.5)
+        for vm, te, tf in observations:
+            r.observe(vm, te, tf)
+        order = list(dict.fromkeys(vm for vm, _, _ in observations))
+        spread = RunningStats()
+        for vm in order:
+            spread.push(r.vm_index(vm))
+        std = spread.std if spread.count >= 2 else 0.0
+        assert r.index_std() == std
+        for vm in order:
+            crisp = -1.0 if r.vm_index(vm) > r.global_index() + std else 1.0
+            assert r.partial_reward(vm) == crisp
 
 
 class TestSmoothedReward:

@@ -35,13 +35,69 @@ Quickstart::
     print(result.plan.assignment)                 # activation id -> VM id
 """
 
-from repro.core import ReassignLearner, ReassignParams, ReassignScheduler
-from repro.dag import Activation, ActivationState, File, Workflow
-from repro.schedulers import HeftScheduler, SchedulingPlan
-from repro.sim import WorkflowSimulator, t2_fleet
-from repro.workflows import make_workflow, montage
+import importlib
+import sys
+from typing import TYPE_CHECKING, Callable, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
+
+
+def lazy_namespace(
+    package: str,
+    exports: Mapping[str, Sequence[str]],
+    submodules: Sequence[str] = (),
+) -> Tuple[Callable[[str], object], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's re-exports.
+
+    ``exports`` maps each submodule (relative to ``package``) to the
+    public names it defines; ``submodules`` are re-exported as modules.
+    A name's submodule is imported on first attribute access, so
+    importing the package costs nothing, and every access reads the
+    submodule's current binding (nothing is copied onto the package).
+    A package's ``__init__`` lists the same names in a ``TYPE_CHECKING``
+    block for static checkers; ``tests/test_import_graph.py`` holds the
+    two lists and ``__all__`` equal.
+    """
+    origin = {
+        name: f"{package}.{module}" for module, names in exports.items() for name in names
+    }
+    modules = frozenset(submodules)
+
+    def __getattr__(name: str) -> object:
+        if name in origin:
+            return getattr(importlib.import_module(origin[name]), name)
+        if name in modules:
+            return importlib.import_module(f"{package}.{name}")
+        raise AttributeError(f"module {package!r} has no attribute {name!r}")
+
+    def __dir__() -> List[str]:
+        return sorted(set(vars(sys.modules[package])) | set(origin) | modules)
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "core.reassign": ("ReassignLearner", "ReassignParams", "ReassignScheduler"),
+    "dag.activation": ("Activation", "ActivationState", "File"),
+    "dag.graph": ("Workflow",),
+    "schedulers.heft": ("HeftScheduler",),
+    "schedulers.base": ("SchedulingPlan",),
+    "sim.simulator": ("WorkflowSimulator",),
+    "sim.vm": ("t2_fleet",),
+    "workflows.registry": ("make_workflow",),
+    "workflows.montage": ("montage",),
+})
+
+if TYPE_CHECKING:
+    from repro.core.reassign import ReassignLearner, ReassignParams, ReassignScheduler
+    from repro.dag.activation import Activation, ActivationState, File
+    from repro.dag.graph import Workflow
+    from repro.schedulers.base import SchedulingPlan
+    from repro.schedulers.heft import HeftScheduler
+    from repro.sim.simulator import WorkflowSimulator
+    from repro.sim.vm import t2_fleet
+    from repro.workflows.montage import montage
+    from repro.workflows.registry import make_workflow
 
 __all__ = [
     "ReassignLearner",

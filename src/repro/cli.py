@@ -20,62 +20,49 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import sqlite3
 import sys
-from typing import Callable, Iterator, List, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, List, Optional
 
-from repro.core.reassign import ReassignLearner, ReassignParams
-from repro.dag.analysis import profile_dag
-from repro.dag.dax import write_dax
-from repro.experiments.environments import fleet_for, fleet_spec_for, render_table1
-from repro.schedulers import (
-    FcfsScheduler,
-    GreedyOnlineScheduler,
-    HeftScheduler,
-    MaxMinScheduler,
-    MctScheduler,
-    MinMinScheduler,
-    OlbScheduler,
-    PlanFollowingScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-    SufferageScheduler,
-)
-from repro.scicumulus.swfms import SciCumulusRL
-from repro.scicumulus.xml_spec import workflow_to_xml
-from repro.runner.parallel import RunnerError
-from repro.sim.kernel import EpisodeKernel, HorizonExceeded
-from repro.sim.trace import gantt_text
-from repro.util.tables import format_hms, render_table
 from repro.util.validate import ValidationError
 from repro.workflows.registry import available_workflows, make_workflow
 
+if TYPE_CHECKING:
+    from repro.runner.parallel import RunnerError
+    from repro.schedulers.base import OnlineScheduler
+    from repro.sim.kernel import HorizonExceeded
+
 __all__ = ["main", "build_parser"]
 
+# Scheduler choices name classes in ``repro.schedulers``; a command
+# imports the one it runs (see ``_scheduler_class``).
 _STATIC = {
-    "heft": HeftScheduler,
-    "minmin": MinMinScheduler,
-    "maxmin": MaxMinScheduler,
-    "sufferage": SufferageScheduler,
-    "mct": MctScheduler,
-    "olb": OlbScheduler,
+    "heft": "HeftScheduler",
+    "minmin": "MinMinScheduler",
+    "maxmin": "MaxMinScheduler",
+    "sufferage": "SufferageScheduler",
+    "mct": "MctScheduler",
+    "olb": "OlbScheduler",
 }
 _ONLINE = {
-    "fcfs": FcfsScheduler,
-    "roundrobin": RoundRobinScheduler,
-    # seeded from --seed at construction time (see _cmd_simulate) so one
-    # root seed governs the whole run
-    "random": lambda seed=0: RandomScheduler(seed=seed),
-    "greedy": GreedyOnlineScheduler,
+    "fcfs": "FcfsScheduler",
+    "roundrobin": "RoundRobinScheduler",
+    "random": "RandomScheduler",
+    "greedy": "GreedyOnlineScheduler",
 }
 
 
-def _make_online_scheduler(name: str, seed: int):
+def _scheduler_class(name: str) -> type:
+    """The ``repro.schedulers`` class a ``--scheduler`` choice names."""
+    import repro.schedulers
+
+    return getattr(repro.schedulers, _STATIC.get(name) or _ONLINE[name])
+
+
+def _make_online_scheduler(name: str, seed: int) -> OnlineScheduler:
     """Instantiate an online scheduler, plumbing the run seed through."""
-    factory = _ONLINE[name]
-    if name == "random":
-        return factory(seed=seed)
-    return factory()
+    cls = _scheduler_class(name)
+    # seeded from --seed so one root seed governs the whole run
+    return cls(seed=seed) if name == "random" else cls()
 
 
 def _count_arg(name: str) -> Callable[[str], int]:
@@ -107,6 +94,8 @@ def _path_arg(option: str, path: str, verb: str) -> Iterator[None]:
     :func:`main` reports with usage and exit code 2.  A fault anywhere
     else keeps its traceback.
     """
+    import sqlite3
+
     try:
         yield
     except (OSError, sqlite3.Error) as exc:
@@ -123,6 +112,8 @@ def _replica_overrun(exc: RunnerError) -> Optional[HorizonExceeded]:
     names the exception's class.  ``None`` when any task failed in
     another way (a deadlock or an internal fault keeps its traceback).
     """
+    from repro.sim.kernel import HorizonExceeded
+
     prefix = f"{HorizonExceeded.__module__}.{HorizonExceeded.__qualname__}: "
     messages = []
     for failure in exc.failures:
@@ -283,6 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_workflow(args) -> int:
+    from repro.dag.analysis import profile_dag
+    from repro.dag.dax import write_dax
+    from repro.scicumulus.xml_spec import workflow_to_xml
+    from repro.util.tables import render_table
+
     wf = make_workflow(args.workflow, args.size, seed=args.seed)
     profile = profile_dag(wf)
     print(render_table(["property", "value"], profile.rows(),
@@ -299,13 +295,19 @@ def _cmd_workflow(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from repro.experiments.environments import fleet_for
+    from repro.schedulers.base import PlanFollowingScheduler
+    from repro.sim.kernel import EpisodeKernel
+    from repro.sim.trace import gantt_text
+    from repro.util.tables import format_hms
+
     wf = make_workflow(args.workflow, args.size, seed=args.seed)
     fleet = fleet_for(args.vcpus)
     kernel = EpisodeKernel(wf, fleet)
     if args.scheduler in _STATIC:
         # static planners share the kernel's nominal-estimate cache
-        plan = _STATIC[args.scheduler](kernel.estimate_model()).plan(wf, fleet)
-        scheduler = PlanFollowingScheduler(plan)
+        planner = _scheduler_class(args.scheduler)(kernel.estimate_model())
+        scheduler = PlanFollowingScheduler(planner.plan(wf, fleet))
     else:
         scheduler = _make_online_scheduler(args.scheduler, args.seed)
     result = kernel.run_episode(scheduler, args.seed)
@@ -320,6 +322,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_learn(args) -> int:
+    from repro.core.reassign import ReassignLearner, ReassignParams
+    from repro.experiments.environments import fleet_for
+
     wf = make_workflow(args.workflow, args.size, seed=args.seed)
     fleet = fleet_for(args.vcpus)
     params = ReassignParams(alpha=args.alpha, gamma=args.gamma,
@@ -341,7 +346,11 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    from repro.core.reassign import ReassignParams
+    from repro.experiments.environments import fleet_spec_for
     from repro.scicumulus.provenance import ProvenanceStore
+    from repro.scicumulus.swfms import SciCumulusRL
+    from repro.util.tables import format_hms
 
     wf = make_workflow(args.workflow, args.size, seed=args.seed)
     store = None
@@ -356,7 +365,7 @@ def _cmd_pipeline(args) -> int:
             ReassignParams(episodes=args.episodes),
         )
     else:
-        report = swfms.run_workflow(wf, spec, _STATIC[args.scheduler]())
+        report = swfms.run_workflow(wf, spec, _scheduler_class(args.scheduler)())
     print(f"scheduler        = {report.scheduler}")
     print(f"fleet            = {report.fleet}")
     print(f"deploy time      = {report.deploy_time:.1f}s")
@@ -370,6 +379,8 @@ def _cmd_pipeline(args) -> int:
 
 def _cmd_table(args) -> int:
     if args.number == 1:
+        from repro.experiments.environments import render_table1
+
         print(render_table1())
         return 0
     if args.number in (2, 3):
@@ -419,6 +430,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    from repro.util.tables import render_table
     from repro.workflows.ensembles import run_ensemble_campaign
 
     results = run_ensemble_campaign(
@@ -443,6 +455,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_serve(args) -> int:
     import json as _json
 
+    from repro.runner.parallel import RunnerError
     from repro.service import (
         SchedulerService,
         ServiceConfig,
@@ -451,6 +464,7 @@ def _cmd_serve(args) -> int:
         run_service_replicas,
         save_trace,
     )
+    from repro.util.tables import format_hms, render_table
 
     if args.trace:
         with _path_arg("--trace", args.trace, "read"):
@@ -557,6 +571,15 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+def _horizon_exceeded() -> type[HorizonExceeded]:
+    # called from an ``except`` clause, which evaluates it only once a
+    # command has raised, so a command that never loads the kernel never
+    # imports it
+    from repro.sim.kernel import HorizonExceeded
+
+    return HorizonExceeded
+
+
 _COMMANDS = {
     "workflow": _cmd_workflow,
     "simulate": _cmd_simulate,
@@ -585,7 +608,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except ValidationError as exc:
         parser.error(str(exc))
-    except HorizonExceeded as exc:
+    except _horizon_exceeded() as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 

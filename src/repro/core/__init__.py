@@ -14,10 +14,22 @@ execution by the SWfMS.  Public entry points:
   runs in one process over one shared kernel.
 """
 
-from repro.core.reassign import ReassignLearner, ReassignParams, ReassignScheduler
-from repro.core.batch import BatchSpec, learn_batch
-from repro.core.episode import EpisodeRecord, LearningResult
-from repro.core.sweep import SweepRecord, sweep_parameters
+from typing import TYPE_CHECKING
+
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "reassign": ("ReassignLearner", "ReassignParams", "ReassignScheduler"),
+    "batch": ("BatchSpec", "learn_batch"),
+    "episode": ("EpisodeRecord", "LearningResult"),
+    "sweep": ("SweepRecord", "sweep_parameters"),
+})
+
+if TYPE_CHECKING:
+    from repro.core.batch import BatchSpec, learn_batch
+    from repro.core.episode import EpisodeRecord, LearningResult
+    from repro.core.reassign import ReassignLearner, ReassignParams, ReassignScheduler
+    from repro.core.sweep import SweepRecord, sweep_parameters
 
 __all__ = [
     "ReassignLearner",

@@ -20,18 +20,31 @@ a faster version of the full suite (the paper's value is 100).
 """
 
 import os
+from typing import TYPE_CHECKING
 
-from repro.experiments.environments import (
-    TABLE1_FLEETS,
-    fleet_for,
-    render_table1,
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(
+    __name__,
+    {
+        "environments": ("TABLE1_FLEETS", "fleet_for", "render_table1"),
+        "sweeps": ("PaperSweep", "run_paper_sweep"),
+        "table4": ("Table4Row", "run_table4"),
+        "table5": ("run_table5",),
+        "figure1": ("run_figure1",),
+        "sensitivity": ("run_seed_sensitivity",),
+    },
+    submodules=("ablations",),
 )
-from repro.experiments.sweeps import PaperSweep, run_paper_sweep
-from repro.experiments.table4 import Table4Row, run_table4
-from repro.experiments.table5 import run_table5
-from repro.experiments.figure1 import run_figure1
-from repro.experiments.sensitivity import run_seed_sensitivity
-from repro.experiments import ablations
+
+if TYPE_CHECKING:
+    from repro.experiments import ablations
+    from repro.experiments.environments import TABLE1_FLEETS, fleet_for, render_table1
+    from repro.experiments.figure1 import run_figure1
+    from repro.experiments.sensitivity import run_seed_sensitivity
+    from repro.experiments.sweeps import PaperSweep, run_paper_sweep
+    from repro.experiments.table4 import Table4Row, run_table4
+    from repro.experiments.table5 import run_table5
 
 __all__ = [
     "TABLE1_FLEETS",

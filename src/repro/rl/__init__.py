@@ -10,11 +10,24 @@ data supports) — plus the Costa-et-al.-derived reward function of
 (:mod:`repro.rl.td`) used by the ablation benchmarks.
 """
 
-from repro.rl.qtable import QTable
-from repro.rl.policy import EpsilonGreedyPolicy
-from repro.rl.reward import PerformanceReward
-from repro.rl.cost_reward import CostAwarePerformanceReward
-from repro.rl.environment import WORKFLOW_STATES
+from typing import TYPE_CHECKING
+
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "qtable": ("QTable",),
+    "policy": ("EpsilonGreedyPolicy",),
+    "reward": ("PerformanceReward",),
+    "cost_reward": ("CostAwarePerformanceReward",),
+    "environment": ("WORKFLOW_STATES",),
+})
+
+if TYPE_CHECKING:
+    from repro.rl.cost_reward import CostAwarePerformanceReward
+    from repro.rl.environment import WORKFLOW_STATES
+    from repro.rl.policy import EpsilonGreedyPolicy
+    from repro.rl.qtable import QTable
+    from repro.rl.reward import PerformanceReward
 
 __all__ = [
     "QTable",

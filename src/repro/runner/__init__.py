@@ -6,16 +6,34 @@ version: build :class:`Task` objects with stable keys, hand them to a
 bit-identical whether ``workers`` is 1 or 64.
 """
 
-from repro.runner.parallel import (
-    ParallelRunner,
-    RunnerError,
-    Task,
-    TaskResult,
-    canonical_key,
-    pack_payloads,
-    resolve_workers,
-    task_seed,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "parallel": (
+        "ParallelRunner",
+        "RunnerError",
+        "Task",
+        "TaskResult",
+        "canonical_key",
+        "pack_payloads",
+        "resolve_workers",
+        "task_seed",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.runner.parallel import (
+        ParallelRunner,
+        RunnerError,
+        Task,
+        TaskResult,
+        canonical_key,
+        pack_payloads,
+        resolve_workers,
+        task_seed,
+    )
 
 __all__ = [
     "ParallelRunner",

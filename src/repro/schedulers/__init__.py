@@ -12,31 +12,64 @@ Two families share one simulator interface:
   :class:`~repro.schedulers.base.PlanFollowingScheduler`.
 """
 
-from repro.schedulers.base import (
-    EstimateModel,
-    OnlineScheduler,
-    PlanFollowingScheduler,
-    SchedulingPlan,
-    StaticScheduler,
-)
-from repro.schedulers.budget import BudgetConstrainedScheduler
-from repro.schedulers.cpop import CpopScheduler
-from repro.schedulers.deadline import DeadlineConstrainedScheduler
-from repro.schedulers.heft import HeftScheduler
-from repro.schedulers.locality import LocalityScheduler
-from repro.schedulers.listsched import (
-    MaxMinScheduler,
-    MctScheduler,
-    MinMinScheduler,
-    OlbScheduler,
-    SufferageScheduler,
-)
-from repro.schedulers.online import (
-    FcfsScheduler,
-    GreedyOnlineScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-)
+from typing import TYPE_CHECKING
+
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "base": (
+        "EstimateModel",
+        "OnlineScheduler",
+        "PlanFollowingScheduler",
+        "SchedulingPlan",
+        "StaticScheduler",
+    ),
+    "budget": ("BudgetConstrainedScheduler",),
+    "cpop": ("CpopScheduler",),
+    "deadline": ("DeadlineConstrainedScheduler",),
+    "heft": ("HeftScheduler",),
+    "locality": ("LocalityScheduler",),
+    "listsched": (
+        "MaxMinScheduler",
+        "MctScheduler",
+        "MinMinScheduler",
+        "OlbScheduler",
+        "SufferageScheduler",
+    ),
+    "online": (
+        "FcfsScheduler",
+        "GreedyOnlineScheduler",
+        "RandomScheduler",
+        "RoundRobinScheduler",
+    ),
+})
+
+if TYPE_CHECKING:
+    from repro.schedulers.base import (
+        EstimateModel,
+        OnlineScheduler,
+        PlanFollowingScheduler,
+        SchedulingPlan,
+        StaticScheduler,
+    )
+    from repro.schedulers.budget import BudgetConstrainedScheduler
+    from repro.schedulers.cpop import CpopScheduler
+    from repro.schedulers.deadline import DeadlineConstrainedScheduler
+    from repro.schedulers.heft import HeftScheduler
+    from repro.schedulers.listsched import (
+        MaxMinScheduler,
+        MctScheduler,
+        MinMinScheduler,
+        OlbScheduler,
+        SufferageScheduler,
+    )
+    from repro.schedulers.locality import LocalityScheduler
+    from repro.schedulers.online import (
+        FcfsScheduler,
+        GreedyOnlineScheduler,
+        RandomScheduler,
+        RoundRobinScheduler,
+    )
 
 __all__ = [
     "EstimateModel",

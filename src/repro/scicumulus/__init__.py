@@ -17,19 +17,40 @@ simulates that execution environment end-to-end:
   (the paper's Figure 1 pipeline).
 """
 
-from repro.scicumulus.xml_spec import workflow_to_xml, workflow_from_xml
-from repro.scicumulus.cloud import CloudProfile, SimulatedCloud
-from repro.scicumulus.mpi_sim import MpiExecutionEngine, MpiConfig
-from repro.scicumulus.analytics import (
-    VmReport,
-    activity_statistics,
-    makespan_trend,
-    scheduler_comparison,
-    vm_performance_report,
-)
-from repro.scicumulus.online import MpiOverheadNetwork, execute_online
-from repro.scicumulus.provenance import ProvenanceStore
-from repro.scicumulus.swfms import ExecutionReport, SciCumulusRL
+from typing import TYPE_CHECKING
+
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "xml_spec": ("workflow_to_xml", "workflow_from_xml"),
+    "cloud": ("CloudProfile", "SimulatedCloud"),
+    "mpi_sim": ("MpiExecutionEngine", "MpiConfig"),
+    "analytics": (
+        "VmReport",
+        "activity_statistics",
+        "makespan_trend",
+        "scheduler_comparison",
+        "vm_performance_report",
+    ),
+    "online": ("MpiOverheadNetwork", "execute_online"),
+    "provenance": ("ProvenanceStore",),
+    "swfms": ("ExecutionReport", "SciCumulusRL"),
+})
+
+if TYPE_CHECKING:
+    from repro.scicumulus.analytics import (
+        VmReport,
+        activity_statistics,
+        makespan_trend,
+        scheduler_comparison,
+        vm_performance_report,
+    )
+    from repro.scicumulus.cloud import CloudProfile, SimulatedCloud
+    from repro.scicumulus.mpi_sim import MpiConfig, MpiExecutionEngine
+    from repro.scicumulus.online import MpiOverheadNetwork, execute_online
+    from repro.scicumulus.provenance import ProvenanceStore
+    from repro.scicumulus.swfms import ExecutionReport, SciCumulusRL
+    from repro.scicumulus.xml_spec import workflow_from_xml, workflow_to_xml
 
 __all__ = [
     "workflow_to_xml",

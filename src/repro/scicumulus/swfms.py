@@ -24,7 +24,9 @@ from repro.schedulers.base import SchedulingPlan, StaticScheduler
 from repro.scicumulus.cloud import CloudProfile, SimulatedCloud
 from repro.scicumulus.mpi_sim import MpiConfig, MpiExecutionEngine
 from repro.scicumulus.provenance import ProvenanceStore
-from repro.scicumulus.xml_spec import workflow_from_xml, workflow_to_xml
+# called through the module: this module may load after a wrapper was
+# installed on xml_spec's functions (perfbench's traced mode)
+from repro.scicumulus import xml_spec
 from repro.sim.metrics import SimulationResult
 from repro.sim.vm import VM_TYPES, Vm, fleet_vcpus
 from repro.util.rng import RngService
@@ -98,12 +100,12 @@ class SciCumulusRL:
     @staticmethod
     def load_specification(xml_text: str) -> Workflow:
         """SCSetup: parse a SciCumulus workflow specification."""
-        return workflow_from_xml(xml_text)
+        return xml_spec.workflow_from_xml(xml_text)
 
     @staticmethod
     def dump_specification(workflow: Workflow) -> str:
         """Serialize a workflow to the specification format."""
-        return workflow_to_xml(workflow)
+        return xml_spec.workflow_to_xml(workflow)
 
     def _learning_fleet(self, fleet_spec: Dict[str, int]) -> list:
         """A fleet with the same ids SCStarter will deploy (micros first)."""
@@ -138,7 +140,7 @@ class SciCumulusRL:
         self._run_counter += 1
         run_seed = RngService(self.seed).spawn_seed(f"run:{self._run_counter}")
         # SCSetup: validate the spec by round-tripping through the XML format
-        spec_workflow = workflow_from_xml(workflow_to_xml(workflow))
+        spec_workflow = xml_spec.workflow_from_xml(xml_spec.workflow_to_xml(workflow))
         label = fleet_label(fleet_spec)
         learning_fleet = self._learning_fleet(fleet_spec)
 

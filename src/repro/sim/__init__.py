@@ -22,36 +22,74 @@ Environment realism is layered through orthogonal models: data transfer
 (:mod:`~repro.sim.migration`).
 """
 
-from repro.sim.events import Event, EventQueue, EventType
-from repro.sim.vm import Vm, VmType, VM_TYPES, t2_fleet, fleet_vcpus
-from repro.sim.datacenter import Datacenter, ProvisionedVm
-from repro.sim.host import Host, HostPool, host_failure_revocations
-from repro.sim.network import NetworkModel, SharedStorageNetwork, ZeroCostNetwork
-from repro.sim.fluctuation import (
-    FluctuationModel,
-    NoFluctuation,
-    GaussianFluctuation,
-    BurstThrottleFluctuation,
-    InterferenceFluctuation,
-    ComposedFluctuation,
-)
-from repro.sim.failures import FailureModel, NoFailures, BernoulliFailures
-from repro.sim.migration import MigrationModel, NoMigrations, PeriodicMigrations
-from repro.sim.spot import NoRevocations, PoissonRevocations, Revocation, RevocationModel
-from repro.sim.metrics import ActivationRecord, SimulationResult, VmUsage
-from repro.sim.estimates import NominalEstimateCache
-from repro.sim.kernel import (
-    DagState,
-    EpisodeKernel,
-    EpisodeState,
-    FleetState,
-    HorizonExceeded,
-    PendingExecution,
-    SimulationError,
-)
-from repro.sim.simulator import SimulationContext, WorkflowSimulator
-from repro.sim.trace import gantt_text
-from repro.sim.validate import validate_result
+from typing import TYPE_CHECKING
+
+from repro import lazy_namespace
+
+__getattr__, __dir__ = lazy_namespace(__name__, {
+    "events": ("Event", "EventQueue", "EventType"),
+    "vm": ("Vm", "VmType", "VM_TYPES", "t2_fleet", "fleet_vcpus"),
+    "datacenter": ("Datacenter", "ProvisionedVm"),
+    "host": ("Host", "HostPool", "host_failure_revocations"),
+    "network": ("NetworkModel", "SharedStorageNetwork", "ZeroCostNetwork"),
+    "fluctuation": (
+        "FluctuationModel",
+        "NoFluctuation",
+        "GaussianFluctuation",
+        "BurstThrottleFluctuation",
+        "InterferenceFluctuation",
+        "ComposedFluctuation",
+    ),
+    "failures": ("FailureModel", "NoFailures", "BernoulliFailures"),
+    "migration": ("MigrationModel", "NoMigrations", "PeriodicMigrations"),
+    "spot": ("NoRevocations", "PoissonRevocations", "Revocation", "RevocationModel"),
+    "metrics": ("ActivationRecord", "SimulationResult", "VmUsage"),
+    "estimates": ("NominalEstimateCache",),
+    "kernel": (
+        "DagState",
+        "EpisodeKernel",
+        "EpisodeState",
+        "FleetState",
+        "HorizonExceeded",
+        "PendingExecution",
+        "SimulationError",
+    ),
+    "simulator": ("SimulationContext", "WorkflowSimulator"),
+    "trace": ("gantt_text",),
+    "validate": ("validate_result",),
+})
+
+if TYPE_CHECKING:
+    from repro.sim.datacenter import Datacenter, ProvisionedVm
+    from repro.sim.estimates import NominalEstimateCache
+    from repro.sim.events import Event, EventQueue, EventType
+    from repro.sim.failures import BernoulliFailures, FailureModel, NoFailures
+    from repro.sim.fluctuation import (
+        BurstThrottleFluctuation,
+        ComposedFluctuation,
+        FluctuationModel,
+        GaussianFluctuation,
+        InterferenceFluctuation,
+        NoFluctuation,
+    )
+    from repro.sim.host import Host, HostPool, host_failure_revocations
+    from repro.sim.kernel import (
+        DagState,
+        EpisodeKernel,
+        EpisodeState,
+        FleetState,
+        HorizonExceeded,
+        PendingExecution,
+        SimulationError,
+    )
+    from repro.sim.metrics import ActivationRecord, SimulationResult, VmUsage
+    from repro.sim.migration import MigrationModel, NoMigrations, PeriodicMigrations
+    from repro.sim.network import NetworkModel, SharedStorageNetwork, ZeroCostNetwork
+    from repro.sim.simulator import SimulationContext, WorkflowSimulator
+    from repro.sim.spot import NoRevocations, PoissonRevocations, Revocation, RevocationModel
+    from repro.sim.trace import gantt_text
+    from repro.sim.validate import validate_result
+    from repro.sim.vm import VM_TYPES, Vm, VmType, fleet_vcpus, t2_fleet
 
 __all__ = [
     "Event",

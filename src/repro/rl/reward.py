@@ -132,8 +132,12 @@ class PerformanceReward:
         """Record one execution without computing a reward (replay/bootstrap)."""
         te = float(te)
         tf = float(tf)
-        if not (te >= 0 and tf >= 0):  # also rejects NaN
-            raise ValidationError(f"times must be >= 0, got te={te}, tf={tf}")
+        # an infinite time would turn every mean and index it reaches into
+        # NaN, after which Eq. 6 rewards every VM; NaN fails ``>= 0``
+        if not (te >= 0 and tf >= 0 and math.isfinite(te) and math.isfinite(tf)):
+            raise ValidationError(
+                f"times must be finite and >= 0, got te={te}, tf={tf}"
+            )
         mu = self.mu
         pos = self._pos.get(vm_id)
         if pos is None:

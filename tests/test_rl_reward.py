@@ -56,6 +56,45 @@ class TestVmTracker:
         assert (r.snapshot(), r.global_index()) == before
         assert r.vm_ids() == [1]
 
+    @pytest.mark.parametrize("te, tf", [
+        (float("inf"), 0.0), (0.0, float("inf")),
+        (float("-inf"), 0.0), (0.0, float("-inf")),
+        (float("inf"), float("inf")),
+    ])
+    def test_infinite_times_rejected(self, te, tf):
+        r = PerformanceReward(mu=0.5)
+        r.observe(1, 10.0, 2.0)
+        before = r.snapshot(), r.global_index(), r.index_std()
+        with pytest.raises(ValidationError) as excinfo:
+            r.observe(0, te, tf)
+        # the message names both values
+        assert f"te={te}" in str(excinfo.value)
+        assert f"tf={tf}" in str(excinfo.value)
+        with pytest.raises(ValidationError):
+            r.step(1, te, tf)
+        assert (r.snapshot(), r.global_index(), r.index_std()) == before
+
+    def test_infinite_history_rejected_by_bootstrap(self):
+        # one infinite time used to leave the VM index, the global index
+        # and the std NaN, after which every Eq.-6 reward was +1
+        r = PerformanceReward(mu=0.5)
+        with pytest.raises(ValidationError, match="te=inf"):
+            r.bootstrap([(0, float("inf"), 0.0), (0, 5.0, 1.0), (1, 3.0, 0.0)])
+        assert r.vm_ids() == []
+        assert r.global_index() == 0.0
+
+    def test_infinite_prior_history_rejected_by_learner(self):
+        from repro.core.reassign import ReassignLearner, ReassignParams
+        from repro.experiments.environments import fleet_for
+        from repro.workflows.montage import montage
+
+        history = [(0, 5.0, 1.0), (1, 3.0, float("-inf"))]
+        with pytest.raises(ValidationError, match="tf=-inf"):
+            ReassignLearner(
+                montage(25, seed=0), fleet_for(16),
+                ReassignParams(episodes=1), prior_history=history,
+            )
+
 
 class TestCrispReward:
     def test_fast_vm_rewarded(self):

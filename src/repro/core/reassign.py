@@ -61,7 +61,8 @@ from repro.rl.td import (
 from repro.schedulers.base import Decision, OnlineScheduler, SchedulingPlan
 from repro.sim.failures import FailureModel
 from repro.sim.fluctuation import BurstThrottleFluctuation, FluctuationModel
-from repro.sim.kernel import EpisodeKernel, PendingExecution, kernel_fingerprint
+from repro.sim import kernel as sim_kernel
+from repro.sim.kernel import EpisodeKernel, PendingExecution
 from repro.sim.metrics import SimulationResult
 from repro.sim.migration import MigrationModel
 from repro.sim.network import NetworkModel
@@ -466,6 +467,8 @@ class ReassignLearner:
         # maps and nominal estimate caches are built once; each episode
         # only resets the O(n) mutable state (see docs/architecture.md).
         self._kernel: Optional[EpisodeKernel] = None
+        # (fingerprint,) once hashed; see kernel_fingerprint
+        self._fingerprint: Optional[Tuple[Optional[str]]] = None
         self._clock: Callable[[], float] = (
             clock if clock is not None else time.perf_counter
         )
@@ -489,9 +492,19 @@ class ReassignLearner:
 
         ``None`` when an environment model cannot be canonicalized —
         worker-side kernel caching is then skipped for this learner
-        (see :func:`repro.sim.kernel.kernel_fingerprint`).
+        (see :func:`repro.sim.kernel.kernel_fingerprint`).  Hashed once:
+        the workflow, fleet and models are fixed when the learner is
+        built.
         """
-        return kernel_fingerprint(self.workflow, self.vms, **self._sim_kwargs)
+        if self._fingerprint is None:
+            # read from its module at call time: this module may load after
+            # a wrapper was installed there (perfbench's traced mode)
+            self._fingerprint = (
+                sim_kernel.kernel_fingerprint(
+                    self.workflow, self.vms, **self._sim_kwargs
+                ),
+            )
+        return self._fingerprint[0]
 
     def _build_kernel(self) -> EpisodeKernel:
         return EpisodeKernel(self.workflow, self.vms, **self._sim_kwargs)

@@ -210,6 +210,52 @@ class TestAdoptKernel:
         assert recipient.kernel is donor.kernel
 
 
+class TestFingerprintOnce:
+    """Each learner hashes its kernel configuration once."""
+
+    @pytest.fixture
+    def hashes(self, monkeypatch):
+        import repro.sim.kernel
+
+        calls = []
+        original = repro.sim.kernel.kernel_fingerprint
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(repro.sim.kernel, "kernel_fingerprint", counting)
+        return calls
+
+    def test_learn_batch_hashes_each_run_once(self, hashes):
+        # five runs share one kernel: the first builds it, four adopt it
+        specs = [_spec(montage(25, seed=0), seed, episodes=1) for seed in range(5)]
+        learn_batch(specs)
+        assert len(hashes) == len(specs)
+
+    def test_runner_task_hashes_its_learner_once(self, hashes):
+        from repro.runner.parallel import ParallelRunner, Task, clear_kernel_cache
+
+        wf = montage(25, seed=0)
+        fingerprint = ReassignLearner(wf, fleet_for(16)).kernel_fingerprint()
+        del hashes[:]
+        task = Task(key="fp", fn=_learn_member, payload=wf,
+                    kernel_fingerprint=fingerprint)
+        try:
+            ParallelRunner(workers=1).run([task])
+        finally:
+            clear_kernel_cache()
+        assert len(hashes) == 1
+
+
+def _learn_member(wf, seed):
+    # learn_batch inside a task whose kernel fingerprint was declared:
+    # the first learner checks the declaration in its ``kernel`` property
+    spec = BatchSpec(workflow=wf, vms=fleet_for(16),
+                     params=ReassignParams(episodes=1), seed=seed)
+    return learn_batch([spec])[0].plan.to_json()
+
+
 class TestBatchSpecValidation:
     def test_pack_payloads_rejects_zero(self):
         from repro.runner import pack_payloads

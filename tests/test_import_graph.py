@@ -20,6 +20,7 @@ test process has imported everything already.
 """
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -162,7 +163,7 @@ def namespace_facts(package: str):
         elif isinstance(node, ast.Assign):
             call = node.value
             if isinstance(call, ast.Call) and ast.unparse(call.func) == "lazy_namespace":
-                for module, names in ast.literal_eval(call.args[1]).items():
+                for names in ast.literal_eval(call.args[1]).values():
                     lazy.update(names)
                 for keyword in call.keywords:
                     assert keyword.arg == "submodules"
@@ -176,8 +177,6 @@ def namespace_facts(package: str):
 class TestLazyNamespaces:
     @pytest.mark.parametrize("package", PACKAGES)
     def test_lazy_map_type_checking_block_and_all_agree(self, package):
-        import importlib
-
         names = importlib.import_module(package).__all__
         lazy, typed, eager, _origin = namespace_facts(package)
         assert len(names) == len(set(names)), "duplicate name in __all__"
@@ -189,9 +188,7 @@ class TestLazyNamespaces:
     def test_only_workflows_and_analysis_stay_eager(self):
         eager_exports = {}
         for package in PACKAGES:
-            import importlib
-
-            lazy, _typed, eager, origin = namespace_facts(package)
+            _lazy, _typed, eager, origin = namespace_facts(package)
             names = set(importlib.import_module(package).__all__)
             imported = {n for n in names & eager if n in origin}
             if imported:
@@ -247,5 +244,5 @@ class TestLazyNamespaces:
         import repro.sim
 
         with pytest.raises(AttributeError, match="'repro.sim' has no attribute 'nope'"):
-            repro.sim.nope  # noqa: B018
+            repro.sim.nope
         assert not hasattr(repro.sim, "nope")

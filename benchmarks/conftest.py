@@ -5,7 +5,7 @@ once per session (``pedantic`` with a single round — these are experiment
 reproductions, not micro-benchmarks) and writes the rendered artifact to
 ``results/`` so the repository keeps a copy of the regenerated tables.
 
-The A/B throughput benchmarks (decision loop, batched engine, service)
+The A/B throughput benchmarks (decision loop, service)
 share the same measurement discipline, so its
 building blocks live here rather than being re-derived per file:
 
@@ -13,11 +13,7 @@ building blocks live here rather than being re-derived per file:
   a timed region, so a collection pause landing in one arm but not the
   other cannot skew a ratio;
 - :func:`best_of` — best-of-N repetition, keeping the fastest run;
-- :func:`git_head` — commit provenance for frozen ``BENCH_*.json``;
-- :func:`learning_fingerprint` — the deterministic content of a
-  :class:`~repro.core.reassign.LearningResult` (everything except wall
-  clock), for the bit-identity gates that void throughput numbers on
-  divergence.
+- :func:`git_head` — commit provenance for frozen ``BENCH_*.json``.
 
 Set ``REPRO_EPISODES`` to scale down learning episode counts (paper: 100).
 The repository root goes on ``sys.path`` so benchmarks can import the
@@ -105,18 +101,3 @@ def git_head():
         text=True,
     )
     return probe.stdout.strip() if probe.returncode == 0 else "unknown"
-
-
-def learning_fingerprint(result):
-    """Deterministic content of a LearningResult — no wall clock.
-
-    Two engine arms (e.g. serial vs batched) must agree on this tuple
-    bit for bit before their timing ratio counts.
-    """
-    return (
-        result.qtable_json,
-        result.plan.to_json(),
-        result.simulated_makespan,
-        result.simulated_learning_time,
-        [e.to_dict() for e in result.episodes],
-    )

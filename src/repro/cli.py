@@ -105,27 +105,28 @@ def _path_arg(option: str, path: str, verb: str) -> Iterator[None]:
         ) from None
 
 
-def _replica_overrun(exc: RunnerError) -> Optional[HorizonExceeded]:
-    """The horizon overrun of a replica run, if that is all that failed.
+def _task_failure(exc: RunnerError) -> Optional[Exception]:
+    """The clean error every failed runner task raised, if they agree.
 
     A failed task arrives as its formatted traceback, whose last line
-    names the exception's class.  ``None`` when any task failed in
-    another way (a deadlock or an internal fault keeps its traceback).
+    names the exception's class.  When every task failed with a
+    :class:`ValidationError` (bad input), the first one's message comes
+    back as one; when every task overran its simulated horizon (a
+    ``serve --replicas`` run), a :class:`HorizonExceeded` that counts
+    them does.  ``None`` when the failures differ in kind or any is
+    another fault (a deadlock or an internal fault keeps its traceback).
     """
     from repro.sim.kernel import HorizonExceeded
 
-    prefix = f"{HorizonExceeded.__module__}.{HorizonExceeded.__qualname__}: "
-    messages = []
-    for failure in exc.failures:
-        last = (failure.error or "").strip().splitlines()[-1:]
-        if not last or not last[0].startswith(prefix):
-            return None
-        messages.append(last[0][len(prefix):])
-    if not messages:
-        return None
-    return HorizonExceeded(
-        f"{messages[0]} ({len(messages)} replica(s) overran)"
-    )
+    lines = [(f.error or "").strip().splitlines()[-1:] for f in exc.failures]
+    for cls in (ValidationError, HorizonExceeded):
+        prefix = f"{cls.__module__}.{cls.__qualname__}: "
+        if lines and all(line and line[0].startswith(prefix) for line in lines):
+            message = lines[0][0][len(prefix):]
+            if cls is HorizonExceeded:
+                message += f" ({len(lines)} replica(s) overran)"
+            return cls(message)
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -154,15 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(_STATIC) + sorted(_ONLINE))
     p.add_argument("--vcpus", type=int, default=16, choices=(16, 32, 64))
     p.add_argument("--gantt", action="store_true", help="print a Gantt chart")
-
-    def add_batch_arg(p, what: str):
-        p.add_argument(
-            "--batch", type=_count_arg("batch"), default=8, metavar="B",
-            help=f"learning runs per task: up to B {what} share one "
-                 "simulation kernel and are learned one after another "
-                 "(results are bit-identical for every B; 1 = one run per "
-                 "task; default 8)",
-        )
 
     p = sub.add_parser(
         "learn",
@@ -200,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run the Tables II/III sweep through the batched engine "
-             "(optionally reduced)",
+        help="run the Tables II/III sweep (optionally reduced)",
     )
     p.add_argument("--episodes", type=int, default=100)
     p.add_argument("--seed", type=int, default=1)
@@ -214,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Table II metric: wall clock or the deterministic "
                         "simulated learning time")
     add_workers_arg(p)
-    add_batch_arg(p, "grid cells")
 
     p = sub.add_parser("ensemble",
                        help="learn plans for a workflow ensemble campaign")
@@ -225,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     add_workers_arg(p)
-    add_batch_arg(p, "ensemble members")
 
     p = sub.add_parser(
         "serve",
@@ -420,7 +409,6 @@ def _cmd_sweep(args) -> int:
         workers=args.workers,
         timing=args.timing,
         progress=progress,
-        batch=args.batch,
     )
     print()
     print(sweep.render_table2())
@@ -440,7 +428,6 @@ def _cmd_ensemble(args) -> int:
         episodes=args.episodes,
         seed=args.seed,
         workers=args.workers,
-        batch=args.batch,
     )
     print(render_table(
         ["member", "workflow", "seed", "simulated makespan [s]"],
@@ -455,7 +442,6 @@ def _cmd_ensemble(args) -> int:
 def _cmd_serve(args) -> int:
     import json as _json
 
-    from repro.runner.parallel import RunnerError
     from repro.service import (
         SchedulerService,
         ServiceConfig,
@@ -492,16 +478,10 @@ def _cmd_serve(args) -> int:
     )
 
     if args.replicas > 1:
-        try:
-            metrics = run_service_replicas(
-                args.replicas, arrivals, config,
-                seed=args.seed, workers=args.workers,
-            )
-        except RunnerError as exc:
-            overrun = _replica_overrun(exc)
-            if overrun is None:
-                raise
-            raise overrun from None
+        metrics = run_service_replicas(
+            args.replicas, arrivals, config,
+            seed=args.seed, workers=args.workers,
+        )
         rows = []
         for i, text in enumerate(metrics):
             m = _json.loads(text)
@@ -571,13 +551,21 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
+# Called from ``except`` clauses, which evaluate them only once a
+# command has raised, so a command that never loads the kernel or the
+# runner never imports them.
+
+
 def _horizon_exceeded() -> type[HorizonExceeded]:
-    # called from an ``except`` clause, which evaluates it only once a
-    # command has raised, so a command that never loads the kernel never
-    # imports it
     from repro.sim.kernel import HorizonExceeded
 
     return HorizonExceeded
+
+
+def _runner_error() -> type[RunnerError]:
+    from repro.runner.parallel import RunnerError
+
+    return RunnerError
 
 
 _COMMANDS = {
@@ -599,13 +587,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     Invalid input (a :class:`ValidationError` from any layer, a path
     that cannot be read or written) is reported like a bad argument:
     usage, the message, exit code 2.  A run that overruns its simulated
-    horizon prints a one-line error and exits 2 too.  Internal faults
-    (a deadlock included) keep their tracebacks.
+    horizon prints a one-line error and exits 2 too.  Runner tasks that
+    all failed one of these two ways count as the command failing that
+    way (:func:`_task_failure`).  Internal faults (a deadlock included)
+    keep their tracebacks.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        try:
+            return _COMMANDS[args.command](args)
+        except _runner_error() as exc:
+            failure = _task_failure(exc)
+            if failure is None:
+                raise
+            raise failure from None
     except ValidationError as exc:
         parser.error(str(exc))
     except _horizon_exceeded() as exc:

@@ -9,9 +9,13 @@ execution by the SWfMS.  Public entry points:
 - :class:`~repro.core.reassign.ReassignLearner` — Algorithm 2: runs
   ``maxIter`` episodes and extracts the learned plan;
 - :func:`~repro.core.sweep.sweep_parameters` — the (α, γ, ε) grid
-  evaluation behind the paper's Tables II and III;
-- :func:`~repro.core.batch.learn_batch` — many independent learning
-  runs in one process over one shared kernel.
+  evaluation behind the paper's Tables II and III, one runner task per
+  cell;
+- :func:`~repro.core.batch.learn_batch` — a plain loop of learning
+  runs, one fresh learner each.
+
+Learning runs share a kernel only through the parallel runner's
+per-process cache (:func:`repro.runner.parallel.shared_kernel`).
 """
 
 from typing import TYPE_CHECKING

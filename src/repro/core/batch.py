@@ -1,46 +1,22 @@
-"""Batched learning: many identically-shaped runs over one shared kernel.
+"""A loop of learning runs, one :class:`ReassignLearner` per spec.
 
-Sweeps and ensembles run many *identically-shaped* learning runs: same
-workflow, same fleet, same environment — only the hyper-parameters and
-seeds differ.  :func:`learn_batch` runs them as a loop of
-:meth:`ReassignLearner.learn() <repro.core.reassign.ReassignLearner.learn>`
-calls that share **one** :class:`~repro.sim.kernel.EpisodeKernel` per
-kernel-fingerprint group: the frozen DAG indexes and nominal estimate
-caches are built once per group and amortized across its runs instead
-of once per run.  The fused lane keeps its Q-values in a per-run
-mirror and builds no action-pair tuples, so it does not share the
-kernel's pair interner across a group's runs; only the object path
-uses that interner.
-
-Each run takes whatever path ``learn()`` takes for its spec — the fused
-lane stepper (:mod:`repro.core.lane`) for the paper's rule on a lean
-kernel, the scheduler-object loop for SARSA / Double-Q / state buckets
-and for every non-lean kernel.  The runs go one after
-the other: lockstep interleaving measured no faster than this loop on
-the paper grid.
-
-**Bit-identity contract (non-negotiable).**  For every spec, the
-returned :class:`~repro.core.episode.LearningResult` — every episode
-record, every Q-table float, the plan, the serialized JSON — is byte
-for byte what the object-path reference (``EpisodeKernel.run_episode``
-driving a ``ReassignScheduler`` for each ``episode:{i}`` seed, then
-the final-plan rule) produces for the same spec, for any batch size.
-Sharing the kernel is safe because
-episodes reset its mutable state at entry and scrub it on exceptions,
-and its cross-run shared structures — the nominal estimate memos and,
-for runs on the object path, the action-pair interner — are
-content-addressed caches whose hits return identical objects/values
-regardless of who warmed them.
-Pinned by ``tests/test_batched_engine.py``.
+:func:`learn_batch` learns each :class:`BatchSpec` in turn with a fresh
+:class:`~repro.core.reassign.ReassignLearner`, so every result is byte
+for byte what ``ReassignLearner(spec...).learn()`` returns.  No
+campaign calls it: sweeps, ablations and ensembles submit one runner
+task per learning run, and runs that share a kernel configuration share
+one kernel per process through the runner's cache
+(:func:`repro.runner.parallel.shared_kernel`), which a learner inside a
+task that declared its fingerprint reaches here too.  It stays because
+``perfbench``'s traced mode wraps it by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.episode import LearningResult
-from repro.core.lane import fast_lane_eligible
 from repro.core.reassign import (
     ReassignLearner,
     ReassignParams,
@@ -49,23 +25,17 @@ from repro.core.reassign import (
 from repro.dag.graph import Workflow
 from repro.sim.failures import FailureModel
 from repro.sim.fluctuation import FluctuationModel
-from repro.sim.kernel import EpisodeKernel
 from repro.sim.migration import MigrationModel
 from repro.sim.network import NetworkModel
 from repro.sim.vm import Vm
 from repro.util.validate import ValidationError
 
-__all__ = ["BatchSpec", "fast_lane_eligible", "learn_batch"]
+__all__ = ["BatchSpec", "learn_batch"]
 
 
 @dataclass(frozen=True)
 class BatchSpec:
-    """One run of a batched learning call.
-
-    Mirrors the ``ReassignLearner`` constructor: the same workflow /
-    fleet / params / seed / environment models produce a bit-identical
-    :class:`~repro.core.episode.LearningResult`.
-    """
+    """One learning run: the ``ReassignLearner`` constructor's arguments."""
 
     workflow: Workflow
     vms: Sequence[Vm]
@@ -82,26 +52,18 @@ class BatchSpec:
 def learn_batch(
     specs: Sequence[BatchSpec], *, timing: str = "wall"
 ) -> List[LearningResult]:
-    """Learn every spec in turn, sharing one kernel per fingerprint group.
+    """Learn every spec in turn; one result per spec, in spec order.
 
-    The first run of each group builds the kernel (or pulls it from the
-    parallel runner's per-worker cache via ``ReassignLearner.kernel``);
-    the rest adopt it.  ``timing="wall"`` reports wall-clock learning
-    time; ``timing="simulated"`` runs each learner on a
+    ``timing="wall"`` reports wall-clock learning time;
+    ``timing="simulated"`` runs each learner on a
     :class:`~repro.core.reassign.SimulatedLearningClock`.
-
-    Returns one :class:`~repro.core.episode.LearningResult` per spec,
-    in spec order, each byte-identical to ``ReassignLearner(spec...)
-    .learn()``.
     """
     if timing not in ("wall", "simulated"):
         raise ValidationError(
             f"timing must be 'wall' or 'simulated', got {timing!r}"
         )
-    kernels: Dict[str, EpisodeKernel] = {}
-    results: List[LearningResult] = []
-    for spec in specs:
-        learner = ReassignLearner(
+    return [
+        ReassignLearner(
             spec.workflow,
             spec.vms,
             spec.params,
@@ -113,13 +75,6 @@ def learn_batch(
             max_attempts=spec.max_attempts,
             single_slot_learning=spec.single_slot_learning,
             clock=SimulatedLearningClock() if timing == "simulated" else None,
-        )
-        fp = learner.kernel_fingerprint()
-        if fp is not None:
-            shared = kernels.get(fp)
-            if shared is None:
-                kernels[fp] = learner.kernel
-            else:
-                learner.adopt_kernel(shared, fp)
-        results.append(learner.learn())
-    return results
+        ).learn()
+        for spec in specs
+    ]

@@ -2,17 +2,17 @@
 
 This module is the learning engine behind
 :meth:`ReassignLearner.learn() <repro.core.reassign.ReassignLearner.learn>`
-(and so behind :func:`repro.core.batch.learn_batch`) on a lean kernel:
-it drives learning episodes through :func:`_drive_episode`, which
-fuses the event loop, the ε-greedy selection, the §III-B reward and
-the Eq.-3 Q-update into a single function over one :class:`_FastLane`.
+on a lean kernel: it drives learning episodes through
+:func:`_drive_episode`, which fuses the event loop, the ε-greedy
+selection, the §III-B reward and the Eq.-3 Q-update into a single
+function over one :class:`_FastLane`.
 
 **Bit-identity contract (non-negotiable).**  Every float operation
 replicates ``EpisodeKernel.run_episode`` driving a
 ``ReassignScheduler`` in the same order, so results are bit-identical
 to that object path — the reference the equivalence suites compare
 against (``tests/reference_learner.py``; pinned by
-``tests/test_fused_learn.py`` and ``tests/test_batched_engine.py``).
+``tests/test_fused_learn.py`` and ``tests/test_kernel_sharing.py``).
 
 **One body, one precondition.**  The loop body only runs on a lean
 kernel (:attr:`EpisodeKernel.lean <repro.sim.kernel.EpisodeKernel.lean>`):
@@ -111,9 +111,17 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.core.reassign import ReassignParams, ReassignScheduler
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qtable import QTable
@@ -129,6 +137,9 @@ from repro.sim.kernel import (
 from repro.sim.metrics import ActivationRecord, SimulationResult
 from repro.util.rng import BlockDraws
 from repro.util.validate import ValidationError
+
+if TYPE_CHECKING:
+    from repro.core.reassign import ReassignParams, ReassignScheduler
 
 __all__ = [
     "EpisodeOutcome",

@@ -43,9 +43,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.episode import EpisodeRecord, LearningResult
+from repro.core.lane import (
+    EpisodeOutcome,
+    _drive_episode,
+    _FastLane,
+    fast_lane_eligible,
+)
 from repro.rl.environment import AVAILABLE, UNAVAILABLE
 from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qtable import QTable
@@ -75,9 +81,6 @@ from repro.util.validate import (
     check_non_negative,
     check_probability,
 )
-
-if TYPE_CHECKING:
-    from repro.core.lane import EpisodeOutcome
 
 __all__ = [
     "ReassignParams",
@@ -509,42 +512,18 @@ class ReassignLearner:
     def _build_kernel(self) -> EpisodeKernel:
         return EpisodeKernel(self.workflow, self.vms, **self._sim_kwargs)
 
-    def adopt_kernel(self, kernel: EpisodeKernel, fingerprint: str) -> None:
-        """Adopt an externally built kernel (batched-engine sharing).
-
-        :func:`repro.core.batch.learn_batch` groups runs by kernel
-        fingerprint and builds one kernel per group; the other runs
-        adopt it through here.  ``fingerprint`` is the
-        :func:`~repro.sim.kernel.kernel_fingerprint` of the
-        configuration that built ``kernel``; it must equal this
-        learner's own — episodes only reset the O(n) mutable state, so
-        a structurally different kernel would silently change every
-        simulated number.
-        """
-        if self._kernel is not None:
-            raise ValidationError(
-                "learner already has a kernel; adopt_kernel must run "
-                "before the first episode"
-            )
-        mine = self.kernel_fingerprint()
-        if mine is None or mine != fingerprint:
-            raise ValidationError(
-                "kernel fingerprint mismatch; cannot adopt a kernel "
-                "built for a different configuration"
-            )
-        self._kernel = kernel
-
     @property
     def kernel(self) -> EpisodeKernel:
         """The learner's episode kernel (built lazily, reused per episode).
 
-        Inside a parallel-runner worker executing a task that declared a
-        ``kernel_fingerprint``, the kernel comes from the worker's shared
-        cache instead of being rebuilt per task — guarded by recomputing
-        the fingerprint here, so a declared fingerprint that does not
-        match this learner's actual configuration is simply ignored.
-        Safe because ``run_episode`` resets all shared mutable state at
-        entry and scrubs it on exit.
+        Inside a parallel-runner task that declared a
+        ``kernel_fingerprint``, the kernel comes from the process's shared
+        cache instead of being rebuilt per task — the only way learners
+        share a kernel.  It is guarded by recomputing the fingerprint
+        here, so a declared fingerprint that does not match this
+        learner's actual configuration is simply ignored.  Safe because
+        ``run_episode`` resets all shared mutable state at entry and
+        scrubs it on exit.
         """
         if self._kernel is None:
             from repro.runner.parallel import (
@@ -580,8 +559,6 @@ class ReassignLearner:
         ``self.scheduler``, which every other run does, and leaves
         ``self.scheduler`` in the same state however the run ends.
         """
-        from repro.core.lane import _drive_episode, _FastLane, fast_lane_eligible
-
         kernel = self.kernel
         sched = self.scheduler
         # the stepper inlines the paper's reward: a custom reward model

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchSpec, learn_batch
 from repro.core.episode import LearningResult
 from repro.core.reassign import (
     ReassignLearner,
@@ -32,7 +31,7 @@ from repro.core.reassign import (
 )
 from repro.dag.graph import Workflow
 from repro.runner import ParallelRunner, Task
-from repro.runner.parallel import ProgressFn, pack_payloads
+from repro.runner.parallel import ProgressFn
 from repro.sim.vm import Vm
 from repro.util.validate import ValidationError
 
@@ -40,8 +39,6 @@ __all__ = [
     "SweepRecord",
     "sweep_parameters",
     "sweep_tasks",
-    "run_sweep_batch",
-    "flatten_sweep_values",
     "PAPER_GRID",
 ]
 
@@ -118,63 +115,6 @@ def run_sweep_cell(payload: CellPayload, seed: int) -> SweepRecord:
     )
 
 
-def run_sweep_batch(
-    payload: Tuple[CellPayload, ...], seed: int
-) -> List[SweepRecord]:
-    """Execute a packed batch of sweep cells through the batched engine.
-
-    ``payload`` is a tuple of :data:`CellPayload` entries (all with
-    ``factory=None``) sharing one workflow/fleet configuration;
-    :func:`repro.core.batch.learn_batch` learns them one after another
-    over one shared kernel.  Every cell still runs from the same root
-    ``seed`` the runner supplies (the paper's semantics), so the records
-    are bit-identical to :func:`run_sweep_cell` run per cell.
-    """
-    specs = [
-        BatchSpec(workflow=workflow, vms=vms, params=params, seed=seed)
-        for workflow, vms, params, _factory, _timing in payload
-    ]
-    timing = payload[0][4]
-    results = learn_batch(specs, timing=timing)
-    records = []
-    for (_wf, _vms, params, _factory, _timing), result in zip(
-        payload, results
-    ):
-        learning_time = (
-            result.simulated_learning_time
-            if timing == "simulated"
-            else result.learning_time
-        )
-        records.append(
-            SweepRecord(
-                alpha=params.alpha,
-                gamma=params.gamma,
-                epsilon=params.epsilon,
-                learning_time=learning_time,
-                simulated_makespan=result.simulated_makespan,
-                result=result,
-            )
-        )
-    return records
-
-
-def flatten_sweep_values(values: Sequence[Any]) -> List[SweepRecord]:
-    """Flatten mixed per-cell / per-batch task values into cell order.
-
-    Batched tasks return ``List[SweepRecord]`` (one per packed cell, in
-    pack order) while unbatched tasks return a single
-    :class:`SweepRecord`; packs are consecutive grid cells, so a simple
-    flatten restores grid order.
-    """
-    records: List[SweepRecord] = []
-    for value in values:
-        if isinstance(value, list):
-            records.extend(value)
-        else:
-            records.append(value)
-    return records
-
-
 def sweep_tasks(
     workflow: Workflow,
     vms: Sequence[Vm],
@@ -189,29 +129,19 @@ def sweep_tasks(
     learner_factory: Optional[LearnerFactory] = None,
     timing: str = "wall",
     key_prefix: Tuple[Any, ...] = (),
-    batch: int = 1,
 ) -> List[Task]:
-    """Build the cell tasks of one fleet's (α, γ, ε) grid.
+    """Build the cell tasks of one fleet's (α, γ, ε) grid, one per cell.
 
     Exposed so callers (e.g. :func:`repro.experiments.sweeps
     .run_paper_sweep`) can combine several fleets' grids into a single
     runner batch.  Task keys are ``key_prefix + (alpha, gamma,
     epsilon)``; every cell carries the sweep's root seed explicitly
     (same-seed-per-cell is the paper's semantics).
-
-    ``batch > 1`` packs up to that many consecutive default cells into
-    one :func:`run_sweep_batch` task (keys ``key_prefix + ("batch",
-    i)``), so each task learns its cells over one shared kernel — same
-    records, fewer kernel builds and task round-trips.  Custom ``learner_factory`` cells are never packed
-    (the factory contract is one learner per cell).  Flatten mixed
-    results with :func:`flatten_sweep_values`.
     """
     if not alphas or not gammas or not epsilons:
         raise ValidationError("sweep needs non-empty parameter lists")
     if timing not in ("wall", "simulated"):
         raise ValidationError(f"timing must be wall/simulated, got {timing!r}")
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1, got {batch}")
     tasks: List[Task] = []
     vms = list(vms)
     # Every default cell builds the same (workflow, fleet, env-model)
@@ -221,7 +151,6 @@ def sweep_tasks(
     fingerprint: Optional[str] = None
     if learner_factory is None:
         fingerprint = ReassignLearner(workflow, vms).kernel_fingerprint()
-    payloads: List[CellPayload] = []
     for alpha in alphas:
         for gamma in gammas:
             for epsilon in epsilons:
@@ -233,32 +162,16 @@ def sweep_tasks(
                     rho=rho,
                     episodes=episodes,
                 )
-                payloads.append(
-                    (workflow, vms, params, learner_factory, timing)
+                tasks.append(
+                    Task(
+                        key=key_prefix
+                        + (params.alpha, params.gamma, params.epsilon),
+                        fn=run_sweep_cell,
+                        payload=(workflow, vms, params, learner_factory, timing),
+                        seed=seed,
+                        kernel_fingerprint=fingerprint,
+                    )
                 )
-    if batch > 1 and learner_factory is None:
-        for i, pack in enumerate(pack_payloads(payloads, batch)):
-            tasks.append(
-                Task(
-                    key=key_prefix + ("batch", i),
-                    fn=run_sweep_batch,
-                    payload=pack,
-                    seed=seed,
-                    kernel_fingerprint=fingerprint,
-                )
-            )
-        return tasks
-    for cell in payloads:
-        _wf, _vms, params, _factory, _timing = cell
-        tasks.append(
-            Task(
-                key=key_prefix + (params.alpha, params.gamma, params.epsilon),
-                fn=run_sweep_cell,
-                payload=cell,
-                seed=seed,
-                kernel_fingerprint=fingerprint,
-            )
-        )
     return tasks
 
 
@@ -277,7 +190,6 @@ def sweep_parameters(
     workers: Optional[int] = 1,
     timing: str = "wall",
     progress: Optional[ProgressFn] = None,
-    batch: int = 1,
 ) -> List[SweepRecord]:
     """Run a learning run per (α, γ, ε) combination on one fleet.
 
@@ -288,11 +200,9 @@ def sweep_parameters(
     ``workers > 1``.
 
     ``workers`` fans cells out over a process pool (1 = serial, 0 = all
-    usable cores, None = the ``REPRO_WORKERS`` environment variable); ``batch``
-    packs that many consecutive cells per task into the batched engine
-    (see :func:`sweep_tasks`).  Records are always returned in
-    grid order (α outermost, ε innermost) and are identical for every
-    worker count and batch size.
+    usable cores, None = the ``REPRO_WORKERS`` environment variable).
+    Records are always returned in grid order (α outermost, ε innermost)
+    and are identical for every worker count.
     """
     tasks = sweep_tasks(
         workflow,
@@ -306,7 +216,6 @@ def sweep_parameters(
         seed=seed,
         learner_factory=learner_factory,
         timing=timing,
-        batch=batch,
     )
     runner = ParallelRunner(
         workers=workers,
@@ -314,7 +223,7 @@ def sweep_parameters(
         seed=seed,
         progress=progress,
     )
-    return flatten_sweep_values([r.value for r in runner.run(tasks)])
+    return [r.value for r in runner.run(tasks)]
 
 
 def best_record(records: Sequence[SweepRecord]) -> SweepRecord:

@@ -70,18 +70,6 @@ class RewardAblationRow:
     mean_final_reward: float
 
 
-def _reward_row(
-    mu: float, rho: float, result
-) -> RewardAblationRow:
-    final_rewards = [e.final_reward for e in result.episodes]
-    return RewardAblationRow(
-        mu=mu,
-        rho=rho,
-        simulated_makespan=result.simulated_makespan,
-        mean_final_reward=sum(final_rewards) / len(final_rewards),
-    )
-
-
 def _reward_cell(payload, seed: int) -> RewardAblationRow:
     """One (µ, ρ) arm of ablation A1 (module-level for the runner)."""
     wf, vcpus, mu, rho, episodes = payload
@@ -89,33 +77,13 @@ def _reward_cell(payload, seed: int) -> RewardAblationRow:
         alpha=0.5, gamma=1.0, epsilon=0.1, mu=mu, rho=rho, episodes=episodes
     )
     result = ReassignLearner(wf, fleet_for(vcpus), params, seed=seed).learn()
-    return _reward_row(mu, rho, result)
-
-
-def _reward_batch(payload, seed: int) -> List[RewardAblationRow]:
-    """A packed batch of (µ, ρ) arms driven by the batched engine.
-
-    All arms share the workflow/fleet kernel and the root seed, so the
-    batched runs are bit-identical to :func:`_reward_cell` per arm.
-    """
-    from repro.core.batch import BatchSpec, learn_batch
-
-    specs = []
-    for wf, vcpus, mu, rho, episodes in payload:
-        params = ReassignParams(
-            alpha=0.5, gamma=1.0, epsilon=0.1, mu=mu, rho=rho,
-            episodes=episodes,
-        )
-        specs.append(
-            BatchSpec(
-                workflow=wf, vms=fleet_for(vcpus), params=params, seed=seed
-            )
-        )
-    results = learn_batch(specs)
-    return [
-        _reward_row(mu, rho, result)
-        for (_wf, _v, mu, rho, _e), result in zip(payload, results)
-    ]
+    final_rewards = [e.final_reward for e in result.episodes]
+    return RewardAblationRow(
+        mu=mu,
+        rho=rho,
+        simulated_makespan=result.simulated_makespan,
+        mean_final_reward=sum(final_rewards) / len(final_rewards),
+    )
 
 
 def run_reward_ablation(
@@ -127,37 +95,12 @@ def run_reward_ablation(
     episodes: int = 50,
     seed: int = 0,
     workers: Optional[int] = 1,
-    batch: int = 8,
 ) -> List[RewardAblationRow]:
-    """Sweep µ and ρ; returns one row per combination (grid order).
-
-    ``batch`` (default 8) packs that many consecutive (µ, ρ) arms per
-    task into the batched engine — rows are bit-identical for every
-    batch size and worker count; ``batch=1`` is the historical
-    one-arm-per-task path.
-    """
-    from repro.runner import pack_payloads
-
+    """Sweep µ and ρ; returns one row per combination (grid order)."""
     wf = workflow if workflow is not None else montage(50, seed=seed)
     # every (µ, ρ) cell simulates the same workflow/fleet/environment, so
     # workers sharing a kernel rebuild it once instead of once per cell
     fingerprint = ReassignLearner(wf, fleet_for(vcpus)).kernel_fingerprint()
-    payloads = [
-        (wf, vcpus, mu, rho, episodes) for mu in mus for rho in rhos
-    ]
-    if batch > 1:
-        tasks = [
-            Task(
-                key=("reward-batch", i),
-                fn=_reward_batch,
-                payload=pack,
-                seed=seed,
-                kernel_fingerprint=fingerprint,
-            )
-            for i, pack in enumerate(pack_payloads(payloads, batch))
-        ]
-        runner = ParallelRunner(workers=workers, run_id="ablation-a1", seed=seed)
-        return [row for r in runner.run(tasks) for row in r.value]
     tasks = [
         Task(
             key=("reward", mu, rho),
@@ -166,7 +109,8 @@ def run_reward_ablation(
             seed=seed,
             kernel_fingerprint=fingerprint,
         )
-        for (wf, vcpus, mu, rho, episodes) in payloads
+        for mu in mus
+        for rho in rhos
     ]
     runner = ParallelRunner(workers=workers, run_id="ablation-a1", seed=seed)
     return [r.value for r in runner.run(tasks)]

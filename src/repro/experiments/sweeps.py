@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.sweep import (
-    PAPER_GRID,
-    SweepRecord,
-    flatten_sweep_values,
-    sweep_tasks,
-)
+from repro.core.sweep import PAPER_GRID, SweepRecord, sweep_tasks
 from repro.dag.graph import Workflow
 from repro.experiments.environments import TABLE1_FLEETS, fleet_for
 from repro.runner import ParallelRunner
@@ -111,47 +106,46 @@ def run_paper_sweep(
     fleets, 27 combinations, 100 episodes, µ = 0.5).
 
     The full fleet × grid product (81 cells at paper scale) is submitted
-    as **one** :class:`~repro.runner.ParallelRunner` batch so ``workers``
-    parallelism spans fleets, not just one fleet's column.  ``batch``
-    (default 8) packs that many consecutive cells per task into the
-    batched engine (:func:`repro.core.batch.learn_batch`) —
-    pass ``batch=1`` for the historical one-cell-per-task path.  Every
-    cell runs Algorithm 2 from the sweep's root seed, so the resulting
-    records — and the rendered Tables II/III, when ``timing`` is
-    ``"simulated"`` — are bit-identical for any worker count and batch
-    size.
+    as **one** :class:`~repro.runner.ParallelRunner` batch, one task per
+    cell, so ``workers`` parallelism spans fleets, not just one fleet's
+    column.  ``batch`` (default 8) is the runner's ``chunk_size``: up to
+    that many cells go to a pool worker per round trip.  Each cell
+    declares its fleet's kernel fingerprint, so a worker builds each
+    fleet's kernel once.  Every cell runs Algorithm 2 from the sweep's
+    root seed, so the resulting records — and the rendered Tables
+    II/III, when ``timing`` is ``"simulated"`` — are bit-identical for
+    any worker count and batch size.
     """
+    if batch < 1:
+        raise ValidationError(f"batch must be >= 1, got {batch}")
     wf = workflow if workflow is not None else montage(50, seed=seed)
     sweep = PaperSweep(workflow_name=wf.name, episodes=episodes, grid=tuple(grid))
     tasks = []
-    fleet_task_counts: List[int] = []
     for vcpus in vcpu_fleets:
         if vcpus not in TABLE1_FLEETS:
             raise ValidationError(f"unknown Table-I fleet: {vcpus} vCPUs")
-        fleet_tasks = sweep_tasks(
-            wf,
-            fleet_for(vcpus),
-            alphas=grid,
-            gammas=grid,
-            epsilons=grid,
-            episodes=episodes,
-            seed=seed,
-            timing=timing,
-            key_prefix=(vcpus,),
-            batch=batch,
+        tasks.extend(
+            sweep_tasks(
+                wf,
+                fleet_for(vcpus),
+                alphas=grid,
+                gammas=grid,
+                epsilons=grid,
+                episodes=episodes,
+                seed=seed,
+                timing=timing,
+                key_prefix=(vcpus,),
+            )
         )
-        tasks.extend(fleet_tasks)
-        fleet_task_counts.append(len(fleet_tasks))
     runner = ParallelRunner(
         workers=workers,
         run_id=f"paper-sweep:{wf.name}",
         seed=seed,
+        chunk_size=batch,
         progress=progress,
     )
-    results = runner.run(tasks)
-    pos = 0
-    for vcpus, count in zip(vcpu_fleets, fleet_task_counts):
-        chunk = results[pos : pos + count]
-        pos += count
-        sweep.records[vcpus] = flatten_sweep_values([r.value for r in chunk])
+    values = [r.value for r in runner.run(tasks)]
+    cells = len(grid) ** 3
+    for i, vcpus in enumerate(vcpu_fleets):
+        sweep.records[vcpus] = values[i * cells : (i + 1) * cells]
     return sweep

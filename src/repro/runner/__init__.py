@@ -17,7 +17,6 @@ __getattr__, __dir__ = lazy_namespace(__name__, {
         "Task",
         "TaskResult",
         "canonical_key",
-        "pack_payloads",
         "resolve_workers",
         "task_seed",
     ),
@@ -30,7 +29,6 @@ if TYPE_CHECKING:
         Task,
         TaskResult,
         canonical_key,
-        pack_payloads,
         resolve_workers,
         task_seed,
     )
@@ -41,7 +39,6 @@ __all__ = [
     "Task",
     "TaskResult",
     "canonical_key",
-    "pack_payloads",
     "resolve_workers",
     "task_seed",
 ]

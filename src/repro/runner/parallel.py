@@ -62,7 +62,6 @@ __all__ = [
     "ParallelRunner",
     "canonical_key",
     "task_seed",
-    "pack_payloads",
     "host_cores",
     "resolve_workers",
     "active_kernel_fingerprint",
@@ -110,22 +109,6 @@ def task_seed(root_seed: int, run_id: str, key: Any) -> int:
     SHA-256 of the canonical label, not ``hash()``).
     """
     return derive_seed(int(root_seed), f"task:{run_id}:{canonical_key(key)}")
-
-
-def pack_payloads(items: Sequence[Any], size: int) -> List[Tuple[Any, ...]]:
-    """Chunk per-item payloads into batch-task tuples of at most ``size``.
-
-    The batched engine (:func:`repro.core.batch.learn_batch`) runs many
-    learning runs per task, so campaigns pack several per-item payloads into one
-    task payload.  Chunks are consecutive, so flattening the per-task
-    result lists restores the original item order — which is what keeps
-    packed campaigns bit-identical to unpacked ones (each item still
-    carries its own seed inside the payload).
-    """
-    if size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {size}")
-    items = list(items)
-    return [tuple(items[i : i + size]) for i in range(0, len(items), size)]
 
 
 def host_cores() -> int:

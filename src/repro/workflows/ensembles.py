@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Sequence
 from repro.dag.activation import Activation, File
 from repro.dag.graph import Workflow
 from repro.runner import ParallelRunner, Task
-from repro.runner.parallel import pack_payloads
 from repro.util.validate import ValidationError
 from repro.workflows.montage import montage
 
@@ -121,48 +120,6 @@ def _learn_member(payload, seed: int) -> EnsembleMemberResult:
     )
 
 
-def _learn_member_batch(payload, seed: int) -> List[EnsembleMemberResult]:
-    """Learn a packed batch of members through the batched engine.
-
-    ``payload`` entries are ``(member, n_activations, vcpus, episodes,
-    member_seed)`` — the per-member seed is *precomputed* with the same
-    ``(root seed, campaign id, ("member", k))`` derivation the unpacked
-    path uses, so packing cannot change any member's streams and the
-    results stay bit-identical for any batch size.
-    """
-    from repro.core.batch import BatchSpec, learn_batch
-    from repro.core.reassign import ReassignParams
-    from repro.experiments.environments import fleet_for
-
-    specs = []
-    for member, n_activations, vcpus, episodes, member_seed in payload:
-        wf = montage(n_activations, seed=member_seed)
-        params = ReassignParams(
-            alpha=0.5, gamma=1.0, epsilon=0.1, episodes=episodes
-        )
-        specs.append(
-            BatchSpec(
-                workflow=wf,
-                vms=fleet_for(vcpus),
-                params=params,
-                seed=member_seed,
-            )
-        )
-    results = learn_batch(specs)
-    return [
-        EnsembleMemberResult(
-            member=member,
-            workflow_name=spec.workflow.name,
-            seed=member_seed,
-            simulated_makespan=result.simulated_makespan,
-            plan_json=result.plan.to_json(),
-        )
-        for (member, _n, _v, _e, member_seed), spec, result in zip(
-            payload, specs, results
-        )
-    ]
-
-
 def run_ensemble_campaign(
     n_instances: int,
     *,
@@ -172,52 +129,25 @@ def run_ensemble_campaign(
     seed: int = 0,
     workers: Optional[int] = 1,
     progress=None,
-    batch: int = 8,
 ) -> List[EnsembleMemberResult]:
     """Learn an independent ReASSIgN plan for each ensemble member.
 
     A parameter-study campaign: ``n_instances`` Montage instances with
-    independent runtimes each get their own learning run on the shared
-    fleet configuration.  Per-member seeds are *derived* — stable
-    ``(root seed, campaign id, member index)`` hashes via the runner —
-    so the campaign is reproducible and bit-identical for any worker
-    count, and members never share a random stream.
-
-    ``batch`` (default 8) packs that many consecutive members per task
-    into the batched engine (:func:`repro.core.batch.learn_batch`); the
-    derived per-member seeds ride inside the packed payloads, so every
-    batch size produces byte-identical member results.  Pass ``batch=1``
-    for the historical one-member-per-task path.
+    independent runtimes each get their own learning run, one runner
+    task each, on the shared fleet configuration.  Per-member seeds are
+    *derived* — stable ``(root seed, campaign id, member index)`` hashes
+    via the runner — so the campaign is reproducible and bit-identical
+    for any worker count, and members never share a random stream.
+    Each member builds its own kernel: the members' workflows differ.
     """
     if n_instances < 1:
         raise ValidationError("n_instances must be >= 1")
-    if batch < 1:
-        raise ValidationError(f"batch must be >= 1, got {batch}")
     runner = ParallelRunner(
         workers=workers,
         run_id=f"ensemble:{n_instances}x{n_activations}:{vcpus}",
         seed=seed,
         progress=progress,
     )
-    if batch > 1:
-        members = [
-            (k, n_activations, vcpus, episodes,
-             runner.seed_for(("member", k)))
-            for k in range(n_instances)
-        ]
-        tasks = [
-            Task(
-                key=("members", i),
-                fn=_learn_member_batch,
-                payload=pack,
-            )
-            for i, pack in enumerate(pack_payloads(members, batch))
-        ]
-        return [
-            member_result
-            for r in runner.run(tasks)
-            for member_result in r.value
-        ]
     tasks = [
         Task(
             key=("member", k),

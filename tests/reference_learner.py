@@ -6,7 +6,7 @@ the learner's own ``ReassignScheduler`` for every ``episode:{i}`` seed,
 then the paper's final-plan rule (the final episode's realized
 schedule, or a greedy replay when that episode failed).  It shares no
 code with the fused lane stepper (``repro.core.lane``) that
-``ReassignLearner.learn()`` and ``learn_batch`` run, so comparing
+``ReassignLearner.learn()`` runs, so comparing
 against it checks two independently written engines against each
 other rather than the stepper against itself.
 
@@ -21,16 +21,19 @@ dense ``QTable``, the known-entry count and the order states and
 actions were interned in — so two engines that first-touch entries in
 a different order cannot compare equal by landing on the same JSON.
 
-``batch_learners(specs)`` runs ``learn_batch`` and also returns the
-learners it ran, so their scheduler state can be compared too.
+``batch_learners(specs)`` learns each spec as a serial runner task
+that declares its kernel fingerprint, as sweep cells do, so specs with
+one configuration share one kernel through the runner's cache.  It
+also returns the learners it ran, so their scheduler state can be
+compared too.
 """
 
 from unittest import mock
 
-from repro.core.batch import learn_batch
 from repro.core.episode import EpisodeRecord, LearningResult
 from repro.core.reassign import ReassignLearner, ReassignScheduler
 from repro.rl.qtable import QTable
+from repro.runner.parallel import ParallelRunner, Task, clear_kernel_cache
 from repro.schedulers.base import SchedulingPlan
 from repro.util.rng import RngService
 
@@ -116,8 +119,33 @@ def scheduler_state(sched):
     return state
 
 
+def spec_learner(spec):
+    """A fresh learner for a ``BatchSpec``."""
+    return ReassignLearner(
+        spec.workflow,
+        spec.vms,
+        spec.params,
+        network=spec.network,
+        fluctuation=spec.fluctuation,
+        failures=spec.failures,
+        migrations=spec.migrations,
+        seed=spec.seed,
+        max_attempts=spec.max_attempts,
+        single_slot_learning=spec.single_slot_learning,
+    )
+
+
+def _learn_spec(spec, _seed):
+    return spec_learner(spec).learn()
+
+
 def batch_learners(specs):
-    """``learn_batch(specs)`` and the learners it ran, in spec order."""
+    """Each spec learned as a runner task; the results and the learners."""
+    tasks = [
+        Task(key=i, fn=_learn_spec, payload=spec,
+             kernel_fingerprint=spec_learner(spec).kernel_fingerprint())
+        for i, spec in enumerate(specs)
+    ]
     learners = []
     learn = ReassignLearner.learn
 
@@ -125,6 +153,10 @@ def batch_learners(specs):
         learners.append(self)
         return learn(self)
 
-    with mock.patch.object(ReassignLearner, "learn", recording):
-        results = learn_batch(specs)
+    clear_kernel_cache()
+    try:
+        with mock.patch.object(ReassignLearner, "learn", recording):
+            results = [r.value for r in ParallelRunner(workers=1).run(tasks)]
+    finally:
+        clear_kernel_cache()
     return results, learners

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.cli import build_parser, main
-from repro.runner.parallel import RunnerError
+from repro.cli import _task_failure, build_parser, main
+from repro.runner.parallel import RunnerError, TaskResult
 from repro.schedulers import SchedulingPlan
 from repro.service.timeline import FleetTimeline
 from repro.sim.kernel import SimulationError
+from repro.util.validate import ValidationError
 
 
 class TestParser:
@@ -144,6 +145,44 @@ class TestHorizonOverrun:
         monkeypatch.setattr(FleetTimeline, "run", deadlock)
         with pytest.raises(raised, match="deadlocked"):
             main(["serve", "--jobs", "2", *replicas])
+
+
+class TestRunnerTaskFailures:
+    """Runner tasks that all failed one clean way fail the command so."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--instances", "2", "--size", "10", "--episodes", "1",
+         "--workers", "2"],
+        ["serve", "--jobs", "3", "--size", "10", "--replicas", "2"],
+    ])
+    def test_bad_input_is_a_clean_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert err.strip().splitlines()[-1] == (
+            "repro: error: MontageRecipe needs at least 11 activations, "
+            "got 10"
+        )
+
+    def test_mixed_failures_keep_their_traceback(self):
+        def failure(index, line):
+            return TaskResult(key=index, index=index,
+                              error=f"Traceback ...\n{line}\n")
+
+        exc = RunnerError([
+            failure(0, "repro.util.validate.ValidationError: bad size"),
+            failure(1, "repro.sim.kernel.HorizonExceeded: overran"),
+        ])
+        assert _task_failure(exc) is None
+        exc = RunnerError([
+            failure(0, "repro.util.validate.ValidationError: bad size"),
+            failure(1, "repro.util.validate.ValidationError: worse size"),
+        ])
+        clean = _task_failure(exc)
+        assert type(clean) is ValidationError
+        assert str(clean) == "bad size"
 
 
 class TestWorkflowCommand:

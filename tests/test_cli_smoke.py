@@ -6,8 +6,8 @@ in-process, after other tests have imported the whole package, where a
 handler missing one of its imports still passes; here each command
 starts from a new ``python -m repro`` at tiny scale (one episode,
 Montage-25) and must exit as it would for a user.  The error paths that
-import lazily (a horizon overrun, a replica overrun, an unopenable
-provenance database) run here too.
+import lazily (a horizon overrun, a replica overrun, bad input inside
+runner tasks, an unopenable provenance database) run here too.
 """
 
 import os
@@ -53,6 +53,11 @@ COMMANDS = [
       "--replicas", "2"], 2, "(2 replica(s) overran)"),
     (["pipeline", "--size", "25", "--scheduler", "heft", "--provenance",
       "missing/p.db"], 2, "argument --provenance: cannot open 'missing/p.db'"),
+    # bad input inside runner tasks is a usage error too
+    (["ensemble", "--instances", "2", "--size", "10", "--episodes", "1"], 2,
+     "repro: error: MontageRecipe needs at least 11 activations, got 10"),
+    (["serve", "--jobs", "3", "--size", "10", "--replicas", "2"], 2,
+     "repro: error: MontageRecipe needs at least 11 activations, got 10"),
 ]
 
 

@@ -38,6 +38,12 @@ from repro.dag.activation import ActivationState
 from repro.experiments.environments import fleet_for, fleet_spec_for
 from repro.rl.cost_reward import CostAwarePerformanceReward
 from repro.rl.reward import PerformanceReward
+from repro.runner.parallel import (
+    ParallelRunner,
+    Task,
+    clear_kernel_cache,
+    kernel_cache_stats,
+)
 from repro.scicumulus.swfms import SciCumulusRL
 from repro.sim.failures import BernoulliFailures
 from repro.sim.fluctuation import GaussianFluctuation, NoFluctuation
@@ -347,26 +353,44 @@ def _interrupt_at(monkeypatch, run, cls, name, k, record=()):
     return calls
 
 
+def _learn_task(learner, _seed):
+    return learner.learn()
+
+
+def _learn_as_task(learner):
+    """``learner.learn()`` as a serial runner task declaring its kernel."""
+    task = Task(key="learn", fn=_learn_task, payload=learner,
+                kernel_fingerprint=learner.kernel_fingerprint())
+    return ParallelRunner(workers=1).run([task])[0].value
+
+
 class TestInterruptedLearn:
     """A ``KeyboardInterrupt`` mid-episode leaves a reusable kernel."""
 
     def _interrupt_then_reuse(self, monkeypatch, make, cls, name, record=()):
         """Interrupt ``learn()`` at the 40th ``cls.name`` call, then reuse.
 
-        Returns the interrupted learner and the calls made before the
-        interrupt (see :func:`_interrupt_at`).
+        Both learns run as runner tasks that declare one kernel
+        fingerprint, so the second gets the interrupted kernel from the
+        runner's cache, where a pool worker's next task finds the kernel
+        of a task that failed.  Returns the interrupted learner and the
+        calls made before the interrupt (see :func:`_interrupt_at`).
         """
-        interrupted = make()
-        calls = _interrupt_at(
-            monkeypatch, interrupted.learn, cls, name, 40, record
-        )
-        kernel = interrupted.kernel
-        _assert_pristine(kernel)
-
-        reused, fresh = make(), make()
-        reused.adopt_kernel(kernel, interrupted.kernel_fingerprint())
+        interrupted, reused, fresh = make(), make(), make()
+        clear_kernel_cache()
+        try:
+            calls = _interrupt_at(
+                monkeypatch, lambda: _learn_as_task(interrupted), cls, name,
+                40, record,
+            )
+            kernel = interrupted.kernel
+            _assert_pristine(kernel)
+            got = _learn_as_task(reused)
+            assert kernel_cache_stats() == {"size": 1, "builds": 1, "hits": 1}
+        finally:
+            clear_kernel_cache()
         assert reused.kernel is kernel
-        assert reused.learn().to_json() == fresh.learn().to_json()
+        assert got.to_json() == fresh.learn().to_json()
         assert scheduler_state(reused.scheduler) == scheduler_state(
             fresh.scheduler
         )
@@ -447,8 +471,8 @@ class TestHorizonExit:
 
         make = _learner(learner_kw=dict(clock=SimulatedLearningClock()))
         reused, fresh = make(), make()
-        reused.adopt_kernel(kernel, reused.kernel_fingerprint())
-        fresh.adopt_kernel(self._kernel(fresh), fresh.kernel_fingerprint())
+        reused._kernel = kernel
+        fresh._kernel = self._kernel(fresh)
         got = reused.learn()
         assert max(e.makespan for e in got.episodes) < self.HORIZON
         assert got.to_json() == fresh.learn().to_json()

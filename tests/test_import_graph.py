@@ -119,7 +119,7 @@ class TestColdImports:
             "from repro.runner import ParallelRunner\n"
             "from repro.workflows.montage import montage\n"
             "tasks = sweep_tasks(montage(25, seed=0), fleet_for(16), alphas=[0.5],\n"
-            "                    gammas=[1.0], epsilons=[0.1], episodes=2, batch=8)\n"
+            "                    gammas=[1.0], epsilons=[0.1], episodes=2)\n"
             "before = set(sys.modules)\n"
             "ParallelRunner(workers=1).run(tasks[:1])\n"
             "print(sorted(m for m in set(sys.modules) - before\n"

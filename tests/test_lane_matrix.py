@@ -196,8 +196,10 @@ class TestMirrorMatchesObjectPath:
                 BatchSpec(wf, fleet, ReassignParams(episodes=3, **cell), seed=k)
                 for k, cell in enumerate(cells[:width])
             ]
+            # serial runner tasks sharing the fingerprint's cached kernel
             results, learned = batch_learners(specs)
             assert len(learned) == width
+            assert len({id(fused.kernel) for fused in learned}) == 1
             for spec, got, fused in zip(specs, results, learned):
                 reference = ReassignLearner(
                     spec.workflow, spec.vms, spec.params, seed=spec.seed

@@ -53,9 +53,6 @@ GUARDED: Dict[str, List[str]] = {
     # Warm (cache replay) vs cold (full parse) analyzer run, same
     # process/host (see benchmarks/test_reprolint_throughput.py).
     "results/BENCH_reprolint_throughput.json": ["warm_vs_cold_ratio"],
-    # BENCH_batched_engine is recorded but not guarded: since the serial
-    # learner runs the fused stepper its ratio sits near 1 (see that
-    # benchmark's docstring).
 }
 
 

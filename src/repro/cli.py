@@ -551,18 +551,18 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-# Called from ``except`` clauses, which evaluate them only once a
-# command has raised, so a command that never loads the kernel or the
-# runner never imports them.
-
-
 def _horizon_exceeded() -> type[HorizonExceeded]:
+    # called from an ``except`` clause, which evaluates it only once a
+    # command has raised, so a command that never loads the kernel never
+    # imports it
     from repro.sim.kernel import HorizonExceeded
 
     return HorizonExceeded
 
 
 def _runner_error() -> type[RunnerError]:
+    # like _horizon_exceeded: imports the runner only once a command has
+    # raised
     from repro.runner.parallel import RunnerError
 
     return RunnerError

@@ -4,11 +4,9 @@
 :class:`~repro.core.reassign.ReassignLearner`, so every result is byte
 for byte what ``ReassignLearner(spec...).learn()`` returns.  No
 campaign calls it: sweeps, ablations and ensembles submit one runner
-task per learning run, and runs that share a kernel configuration share
-one kernel per process through the runner's cache
-(:func:`repro.runner.parallel.shared_kernel`), which a learner inside a
-task that declared its fingerprint reaches here too.  It stays because
-``perfbench``'s traced mode wraps it by name.
+task per learning run, and runs share a kernel only through the
+runner's per-process cache (:func:`repro.runner.parallel.shared_kernel`).
+It stays because ``perfbench``'s traced mode wraps it by name.
 """
 
 from __future__ import annotations

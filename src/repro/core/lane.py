@@ -111,17 +111,9 @@ from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.core.reassign import ReassignParams, ReassignScheduler
 from repro.dag.activation import ActivationState
 from repro.rl.environment import AVAILABLE
 from repro.rl.qtable import QTable
@@ -137,9 +129,6 @@ from repro.sim.kernel import (
 from repro.sim.metrics import ActivationRecord, SimulationResult
 from repro.util.rng import BlockDraws
 from repro.util.validate import ValidationError
-
-if TYPE_CHECKING:
-    from repro.core.reassign import ReassignParams, ReassignScheduler
 
 __all__ = [
     "EpisodeOutcome",

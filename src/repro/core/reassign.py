@@ -43,15 +43,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.core.episode import EpisodeRecord, LearningResult
-from repro.core.lane import (
-    EpisodeOutcome,
-    _drive_episode,
-    _FastLane,
-    fast_lane_eligible,
-)
 from repro.rl.environment import AVAILABLE, UNAVAILABLE
 from repro.rl.policy import EpsilonGreedyPolicy
 from repro.rl.qtable import QTable
@@ -81,6 +75,9 @@ from repro.util.validate import (
     check_non_negative,
     check_probability,
 )
+
+if TYPE_CHECKING:
+    from repro.core.lane import EpisodeOutcome
 
 __all__ = [
     "ReassignParams",
@@ -559,6 +556,8 @@ class ReassignLearner:
         ``self.scheduler``, which every other run does, and leaves
         ``self.scheduler`` in the same state however the run ends.
         """
+        from repro.core.lane import _drive_episode, _FastLane, fast_lane_eligible
+
         kernel = self.kernel
         sched = self.scheduler
         # the stepper inlines the paper's reward: a custom reward model

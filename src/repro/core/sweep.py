@@ -23,6 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+# the lane stepper is loaded here, not first by a cell's learn(): pool
+# workers fork from this process on every sweep, so a module the parent
+# has not imported would be imported again by every worker of every sweep
+import repro.core.lane  # noqa: F401
 from repro.core.episode import LearningResult
 from repro.core.reassign import (
     ReassignLearner,

@@ -118,6 +118,8 @@ def run_paper_sweep(
     """
     if batch < 1:
         raise ValidationError(f"batch must be >= 1, got {batch}")
+    if len(set(grid)) < len(grid):
+        raise ValidationError(f"grid values must be distinct, got {list(grid)}")
     wf = workflow if workflow is not None else montage(50, seed=seed)
     sweep = PaperSweep(workflow_name=wf.name, episodes=episodes, grid=tuple(grid))
     tasks = []

@@ -38,6 +38,10 @@ class TestParser:
                 ["table", "2", "--episodes", "0"],
                 "episodes must be an integer >= 1, got 0",
             ),
+            (
+                ["sweep", "--grid", "0.1", "0.1"],
+                "grid values must be distinct, got [0.1, 0.1]",
+            ),
         ],
     )
     def test_bad_input_is_a_clean_error(self, argv, message, capsys):

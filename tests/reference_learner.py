@@ -119,8 +119,8 @@ def scheduler_state(sched):
     return state
 
 
-def spec_learner(spec):
-    """A fresh learner for a ``BatchSpec``."""
+def spec_learner(spec, **learner_kw):
+    """A fresh learner for a ``BatchSpec`` (plus e.g. a ``clock``)."""
     return ReassignLearner(
         spec.workflow,
         spec.vms,
@@ -132,6 +132,7 @@ def spec_learner(spec):
         seed=spec.seed,
         max_attempts=spec.max_attempts,
         single_slot_learning=spec.single_slot_learning,
+        **learner_kw,
     )
 
 

@@ -46,6 +46,7 @@ from tests.reference_learner import (
     batch_learners,
     reference_learn,
     scheduler_state,
+    spec_learner,
 )
 
 
@@ -78,15 +79,7 @@ def _spec(wf, seed, **params):
 
 def _reference(spec: BatchSpec, **learner_kw):
     """The object-path reference run for one spec, and its learner."""
-    learner = ReassignLearner(
-        spec.workflow,
-        spec.vms,
-        spec.params,
-        seed=spec.seed,
-        max_attempts=spec.max_attempts,
-        single_slot_learning=spec.single_slot_learning,
-        **learner_kw,
-    )
+    learner = spec_learner(spec, **learner_kw)
     return reference_learn(learner), learner
 
 

@@ -340,7 +340,7 @@ class QTable:
         """
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an oversized int
             raise ValidationError(f"malformed QTable JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ValidationError(

@@ -20,6 +20,7 @@ from repro.dag.graph import Workflow
 from repro.sim.estimates import NominalEstimateCache
 from repro.sim.simulator import SimulationContext
 from repro.sim.vm import Vm
+from repro.util.decode import check_index, decode_id_map, json_field, unique_keys
 from repro.util.validate import ValidationError, check_non_negative
 
 __all__ = [
@@ -229,16 +230,38 @@ class SchedulingPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "SchedulingPlan":
-        """Parse a plan serialized by :meth:`to_json`."""
+        """Parse a plan serialized by :meth:`to_json`.
+
+        Malformed JSON, a non-object, a missing ``assignment`` or one
+        :func:`~repro.util.decode.decode_id_map` rejects, a
+        ``priority`` that is not a list of ids or not a permutation of
+        the assigned activations, and a ``name`` that is not a string
+        raise :class:`ValidationError` naming the field.
+        """
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = json.loads(text, object_pairs_hook=unique_keys)
+        except ValueError as exc:  # JSONDecodeError, or an oversized int
             raise ValidationError(f"malformed plan JSON: {exc}") from exc
-        return cls(
-            assignment={int(k): int(v) for k, v in data["assignment"].items()},
-            priority=[int(x) for x in data.get("priority", [])],
-            name=data.get("name", "plan"),
-        )
+        try:
+            if not isinstance(data, dict):
+                raise ValidationError(f"expected an object, got {data!r:.60}")
+            priority = data.get("priority", [])
+            if not isinstance(priority, list):
+                raise ValidationError(
+                    f"priority must be a list, got {priority!r:.60}"
+                )
+            name = data.get("name", "plan")
+            if not isinstance(name, str):
+                raise ValidationError(f"name must be a string, got {name!r:.60}")
+            return cls(
+                assignment=decode_id_map(
+                    "assignment", json_field(data, "assignment")
+                ),
+                priority=[check_index("priority", x) for x in priority],
+                name=name,
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"malformed plan JSON: {exc}") from exc
 
 
 class StaticScheduler(abc.ABC):

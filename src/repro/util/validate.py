@@ -15,6 +15,7 @@ __all__ = [
     "check_positive",
     "check_non_negative",
     "check_probability",
+    "check_finite",
 ]
 
 
@@ -22,7 +23,8 @@ class ValidationError(ValueError):
     """Raised when a user-supplied parameter is out of its legal range."""
 
 
-def _check_finite_number(name: str, value: float) -> float:
+def check_finite(name: str, value: float) -> float:
+    """Validate a finite number (a bool is not one) and return it as float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     value = float(value)
@@ -33,7 +35,7 @@ def _check_finite_number(name: str, value: float) -> float:
 
 def check_positive(name: str, value: float) -> float:
     """Validate ``value > 0`` and return it as float."""
-    value = _check_finite_number(name, value)
+    value = check_finite(name, value)
     if value <= 0:
         raise ValidationError(f"{name} must be > 0, got {value!r}")
     return value
@@ -41,7 +43,7 @@ def check_positive(name: str, value: float) -> float:
 
 def check_non_negative(name: str, value: float) -> float:
     """Validate ``value >= 0`` and return it as float."""
-    value = _check_finite_number(name, value)
+    value = check_finite(name, value)
     if value < 0:
         raise ValidationError(f"{name} must be >= 0, got {value!r}")
     return value
@@ -49,7 +51,7 @@ def check_non_negative(name: str, value: float) -> float:
 
 def check_probability(name: str, value: float) -> float:
     """Validate ``0 <= value <= 1`` and return it as float."""
-    value = _check_finite_number(name, value)
+    value = check_finite(name, value)
     if not 0.0 <= value <= 1.0:
         raise ValidationError(f"{name} must be in [0, 1], got {value!r}")
     return value

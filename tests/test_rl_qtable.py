@@ -110,6 +110,7 @@ class TestPersistence:
                 '["available", [1, 2], 2.0]]}',
                 r"duplicate QTable entry for state 'available', action \(1, 2\)",
             ),
+            ('{"init_scale": 1%s}' % ("0" * 5000), "malformed QTable JSON"),
         ],
     )
     def test_bad_input_is_a_validation_error(self, text, match):

@@ -52,6 +52,34 @@ class TestSchedulingPlan:
         with pytest.raises(ValidationError):
             SchedulingPlan.from_json("{not json")
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("[]", "expected an object"),
+            ("{}", "missing field 'assignment'"),
+            ('{"assignment": [[0, 1]]}', "assignment must be an object"),
+            ('{"assignment": {"0": 0.5}}', r"assignment\[0\] must be an integer"),
+            ('{"assignment": {"0": true}}', r"assignment\[0\] must be an integer"),
+            ('{"assignment": {"0": -1}}', r"assignment\[0\] must be an integer"),
+            ('{"assignment": {"0": "1"}}', r"assignment\[0\] must be an integer"),
+            ('{"assignment": {"-1": 0}}', "assignment key must be an integer"),
+            ('{"assignment": {"x": 0}}', "assignment key must be an integer"),
+            ('{"assignment": {"1.0": 0}}', "assignment key must be an integer"),
+            ('{"assignment": {"9223372036854775808": 0}}', "assignment key"),
+            ('{"assignment": {"1": 0, "01": 1}}', "assignment repeats key 1"),
+            ('{"assignment": {"1": 0, "1": 1}}', "repeated key '1'"),
+            ('{"assignment": {"0": 0}, "priority": 0}', "priority must be a list"),
+            ('{"assignment": {"0": 0}, "priority": [0.0]}',
+             "priority must be an integer"),
+            ('{"assignment": {"0": 0}, "priority": [1]}', "permutation"),
+            ('{"assignment": {"0": 0}, "name": 5}', "name must be a string"),
+            ('{"assignment": {"0": 1%s}}' % ("0" * 5000), "malformed plan JSON"),
+        ],
+    )
+    def test_malformed_plan_is_a_validation_error(self, text, match):
+        with pytest.raises(ValidationError, match=match):
+            SchedulingPlan.from_json(text)
+
     def test_validate_against(self, diamond, fleet_small):
         plan = SchedulingPlan(assignment={i: 0 for i in range(4)})
         plan.validate_against(diamond, fleet_small)

@@ -214,9 +214,13 @@ class _LiteResult:
 
     ``assignment`` is the completion-ordered ``{activation_id: vm_id}``
     map — byte-identical in content and iteration order to
-    ``SimulationResult.assignment`` for the same episode.  Accessing
-    ``records`` raises: a lite result must never reach a consumer that
-    needs them (the run's final episode is always recorded in full).
+    ``SimulationResult.assignment`` for the same episode (the
+    differential suites compare each episode's ``assignment.items()``).
+    ``learn()`` packs it into the episode's
+    :class:`~repro.core.episode.EpisodeRecord`, which keeps that order,
+    so the dict lives for one episode.  Accessing ``records`` raises: a
+    lite result must never reach a consumer that needs them (the run's
+    final episode is always recorded in full).
     """
 
     __slots__ = ("makespan", "final_state", "assignment")

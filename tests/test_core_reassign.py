@@ -213,12 +213,152 @@ class TestEpisodeRecords:
         back = EpisodeRecord.from_dict(rec.to_dict())
         assert back == rec
 
+    def test_assignment_is_a_fresh_dict_in_completion_order(self):
+        rec = EpisodeRecord(0, 1.0, "successfully finished", 3, 0.0, 0.0,
+                            assignment={7: 1, 2: 300, 5: 0})
+        got = rec.assignment
+        assert list(got.items()) == [(7, 1), (2, 300), (5, 0)]
+        got[7] = 9
+        assert rec.assignment == {7: 1, 2: 300, 5: 0}
+        assert rec == EpisodeRecord(0, 1.0, "successfully finished", 3, 0.0,
+                                    0.0, assignment={5: 0, 2: 300, 7: 1})
+        assert rec != EpisodeRecord(0, 1.0, "successfully finished", 3, 0.0,
+                                    0.0, assignment={7: 1, 2: 300})
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rec)
+
+    def test_records_of_a_learn_hold_under_1kb_per_episode(
+        self, montage50, fleet16
+    ):
+        import pickle
+        import tracemalloc
+
+        params = ReassignParams(alpha=0.5, gamma=1.0, epsilon=0.1, episodes=100)
+        result = ReassignLearner(montage50, fleet16, params, seed=0).learn()
+        # what a sweep's parent holds: the records as they arrive by pickle
+        payload = pickle.dumps(result.episodes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            episodes = pickle.loads(payload)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert episodes == result.episodes
+        assert held / len(episodes) < 1024
+
     def test_learning_result_round_trip(self, montage25, fleet16, params):
         result = ReassignLearner(montage25, fleet16, params, seed=2).learn()
         back = LearningResult.from_json(result.to_json())
         assert back.plan.assignment == result.plan.assignment
         assert back.makespan_curve() == result.makespan_curve()
         assert back.learning_time == result.learning_time
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            (None, [], "episode record must be an object"),
+            ("episode", None, "missing field 'episode'"),
+            ("episode", True, "episode must be an integer"),
+            ("episode", -1, "episode must be an integer"),
+            ("steps", None, "missing field 'steps'"),
+            ("steps", -1, "steps must be an integer"),
+            ("steps", 25.0, "steps must be an integer"),
+            ("makespan", float("nan"), "makespan must be finite"),
+            ("makespan", float("inf"), "makespan must be finite"),
+            ("makespan", -1.0, "makespan must be >= 0"),
+            ("makespan", "120", "makespan must be a number"),
+            ("mean_reward", float("nan"), "mean_reward must be finite"),
+            ("final_reward", float("-inf"), "final_reward must be finite"),
+            ("final_reward", None, "missing field 'final_reward'"),
+            ("final_state", 1, "final_state must be a string"),
+            ("assignment", [[0, 8]], "assignment must be an object"),
+            ("assignment", {"0": 0.5}, r"assignment\[0\] must be an integer"),
+            ("assignment", {"0": True}, r"assignment\[0\] must be an integer"),
+            ("assignment", {"0": -8}, r"assignment\[0\] must be an integer"),
+            ("assignment", {"-1": 8}, "assignment key must be an integer"),
+            ("assignment", {"1": 8, "01": 2}, "assignment repeats key 1"),
+        ],
+    )
+    def test_malformed_record_is_a_validation_error(self, field, value, match):
+        data = EpisodeRecord(
+            episode=3, makespan=120.5, final_state="successfully finished",
+            steps=25, mean_reward=0.4, final_reward=0.8,
+            assignment={0: 8, 1: 2},
+        ).to_dict()
+        if field is None:
+            data = value
+        elif value is None:
+            del data[field]
+        else:
+            data[field] = value
+        with pytest.raises(ValidationError, match=match):
+            EpisodeRecord.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda d: d.pop("plan"), "missing field 'plan'"),
+            (lambda d: d.update(plan=5), "malformed plan JSON: expected an object"),
+            (lambda d: d["plan"]["assignment"].update({"0": 0.5}),
+             r"assignment\[0\] must be an integer"),
+            (lambda d: d["plan"]["assignment"].update({"0": True}),
+             r"assignment\[0\] must be an integer"),
+            (lambda d: d.pop("episodes"), "missing field 'episodes'"),
+            (lambda d: d.update(episodes={}), "episodes must be a list"),
+            (lambda d: d.update(episodes=[]), "at least one episode"),
+            (lambda d: d["episodes"].append(5),
+             r"episodes\[1\]: episode record must be an object"),
+            (lambda d: d["episodes"][0].update(steps=-1),
+             r"episodes\[0\]: steps must be an integer"),
+            (lambda d: d["episodes"][0].update(makespan=float("nan")),
+             r"episodes\[0\]: makespan must be finite"),
+            (lambda d: d["episodes"][0].update(mean_reward=float("inf")),
+             r"episodes\[0\]: mean_reward must be finite"),
+            (lambda d: d["episodes"][0]["assignment"].update({"01": 3}),
+             r"episodes\[0\]: assignment repeats key 1"),
+            (lambda d: d.pop("learning_time"), "missing field 'learning_time'"),
+            (lambda d: d.update(learning_time=float("nan")),
+             "learning_time must be finite"),
+            (lambda d: d.update(learning_time=-1.0), "learning_time must be >= 0"),
+            (lambda d: d.update(simulated_makespan=float("inf")),
+             "simulated_makespan must be finite"),
+            (lambda d: d.update(simulated_makespan="200"),
+             "simulated_makespan must be a number"),
+            (lambda d: d.pop("qtable"), "missing field 'qtable'"),
+            (lambda d: d.update(qtable=[]), "qtable must be an object"),
+        ],
+    )
+    def test_malformed_result_is_a_validation_error(self, edit, match):
+        from repro.schedulers import SchedulingPlan
+
+        data = json.loads(LearningResult(
+            plan=SchedulingPlan(assignment={0: 8, 1: 2}),
+            episodes=[EpisodeRecord(0, 200.0, "successfully finished", 2, 0.5,
+                                    1.0, assignment={1: 2, 0: 8})],
+            learning_time=1.0,
+            simulated_makespan=200.0,
+            qtable_json=QTable().to_json(),
+        ).to_json())
+        edit(data)  # in place
+        with pytest.raises(ValidationError, match=match):
+            LearningResult.from_json(json.dumps(data))
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "malformed LearningResult JSON"),
+            ("{", "malformed LearningResult JSON"),
+            ('{"plan": 1%s}' % ("0" * 5000), "malformed LearningResult JSON"),
+            ("null", "expected an object"),
+            ("[]", "expected an object"),
+            ("{}", "missing field 'plan'"),
+            ('{"plan": {}, "plan": {}}', "repeated key 'plan'"),
+        ],
+    )
+    def test_unparsable_result_is_a_validation_error(self, text, match):
+        with pytest.raises(ValidationError, match=match):
+            LearningResult.from_json(text)
 
     def test_best_episode_prefers_success(self):
         episodes = [

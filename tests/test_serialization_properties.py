@@ -1,10 +1,12 @@
 """Property-based round-trip tests for every serialization format."""
 
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import EpisodeRecord
 from repro.dag import parse_dax, write_dax, random_layered_dag
 from repro.schedulers import SchedulingPlan
 from repro.scicumulus import workflow_from_xml, workflow_to_xml
@@ -89,3 +91,44 @@ class TestQTableJsonRoundTrip:
             t.set(state, action, value)
         back = QTable.from_json(t.to_json())
         assert back.items() == t.items()
+
+
+#: (typecode, smallest id that needs it, largest id drawn)
+_ID_BANDS = [("B", 0, 255), ("H", 256, 65_535), ("q", 65_536, 2**40)]
+
+
+@st.composite
+def packed_assignment(draw):
+    """An assignment whose largest id needs the drawn band's typecode."""
+    typecode, low, high = draw(st.sampled_from(_ID_BANDS))
+    ids = st.integers(min_value=0, max_value=high)
+    keys = draw(st.lists(ids, min_size=1, max_size=60, unique=True))
+    assignment = {key: draw(ids) for key in keys}
+    # one id in the band itself, as a key or as a VM
+    top = draw(st.integers(min_value=low, max_value=high))
+    if draw(st.booleans()):
+        assignment[top] = draw(ids)
+    else:
+        assignment[keys[0]] = top
+    return typecode, assignment
+
+
+class TestEpisodeRecordPacking:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=packed_assignment())
+    def test_pickle_and_dict_round_trips_keep_order(self, drawn):
+        typecode, assignment = drawn
+        order = list(assignment.items())
+        record = EpisodeRecord(4, 812.5, "successfully finished", len(order),
+                               0.25, -1.0, assignment)
+        assert record._pairs.typecode == typecode
+        assignment.clear()  # the record holds its own copy
+        for back in (
+            pickle.loads(pickle.dumps(record)),
+            EpisodeRecord.from_dict(json.loads(json.dumps(record.to_dict()))),
+        ):
+            assert list(back.assignment.items()) == order
+            assert back == record
+            assert back == EpisodeRecord(4, 812.5, "successfully finished",
+                                         len(order), 0.25, -1.0,
+                                         dict(reversed(order)))

@@ -59,8 +59,14 @@ from tests.reference_learner import reference_learn, scheduler_state
 
 
 def _fp(result):
+    """Everything in ``to_json()`` except the wall-clock learning time,
+    plus each episode's assignment in completion order (``to_json()``
+    sorts its keys)."""
     data = json.loads(result.to_json())
     data.pop("learning_time", None)
+    data["assignment_order"] = [
+        list(e.assignment.items()) for e in result.episodes
+    ]
     return data
 
 

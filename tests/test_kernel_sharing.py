@@ -100,9 +100,14 @@ def _assert_tasks_match_reference(specs):
 
 
 def _fp(result):
-    """Everything in ``to_json()`` except the wall-clock learning time."""
+    """Everything in ``to_json()`` except the wall-clock learning time,
+    plus each episode's assignment in completion order (``to_json()``
+    sorts its keys)."""
     data = json.loads(result.to_json())
     data.pop("learning_time", None)
+    data["assignment_order"] = [
+        list(e.assignment.items()) for e in result.episodes
+    ]
     return data
 
 

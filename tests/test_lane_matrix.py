@@ -79,8 +79,14 @@ def layered_dag(seed: int, max_layers: int = 4, max_width: int = 7) -> Workflow:
 
 
 def _fp(result):
+    """Everything in ``to_json()`` except the wall-clock learning time,
+    plus each episode's assignment in completion order (``to_json()``
+    sorts its keys)."""
     data = json.loads(result.to_json())
     data.pop("learning_time", None)
+    data["assignment_order"] = [
+        list(e.assignment.items()) for e in result.episodes
+    ]
     return data
 
 

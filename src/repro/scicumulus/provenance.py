@@ -279,6 +279,20 @@ class ProvenanceStore:
         sql += " ORDER BY id"
         return list(self._conn.execute(sql, args))
 
+    def learning_result(self, run_id: int) -> LearningResult:
+        """The stored :class:`LearningResult` of learning run ``run_id``.
+
+        The payload goes through :meth:`LearningResult.from_json`, so a
+        malformed one raises :class:`ValidationError`, as an unknown id
+        does.
+        """
+        row = self._conn.execute(
+            "SELECT payload FROM learning_runs WHERE id = ?", (run_id,)
+        ).fetchone()
+        if row is None:
+            raise ValidationError(f"unknown learning run {run_id}")
+        return LearningResult.from_json(row[0])
+
     def activation_rows(self, execution_id: int) -> List[tuple]:
         """Raw activation rows of one execution (for inspection/tests)."""
         rows = list(

@@ -202,6 +202,33 @@ class TestProvenance:
         assert len(QTable.from_json(qjson)) > 0
         assert store.latest_qtable("wf", "other") is None
 
+    def test_learning_result_reads_the_recorded_run(self, montage25, fleet16):
+        from repro.core import ReassignLearner
+
+        params = ReassignParams(episodes=3)
+        learning = ReassignLearner(montage25, fleet16, params, seed=1).learn()
+        store = ProvenanceStore()
+        run_id = store.record_learning_run("wf", "fleetA", params.label(), learning)
+        back = store.learning_result(run_id)
+        assert back.to_json() == learning.to_json()
+        assert back.episodes == learning.episodes
+        with pytest.raises(ValidationError, match="unknown learning run 999"):
+            store.learning_result(999)
+
+    def test_learning_result_rejects_a_malformed_payload(self, montage25, fleet16):
+        from repro.core import ReassignLearner
+
+        params = ReassignParams(episodes=2)
+        learning = ReassignLearner(montage25, fleet16, params, seed=1).learn()
+        store = ProvenanceStore()
+        run_id = store.record_learning_run("wf", "fleetA", params.label(), learning)
+        store._conn.execute(
+            "UPDATE learning_runs SET payload = ? WHERE id = ?",
+            (learning.to_json().replace('"steps": 25', '"steps": -25'), run_id),
+        )
+        with pytest.raises(ValidationError, match=r"episodes\[0\]: steps"):
+            store.learning_result(run_id)
+
     def test_activation_rows(self):
         store = ProvenanceStore()
         eid = store.record_execution(self._result(), "HEFT", "f")
